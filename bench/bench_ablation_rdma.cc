@@ -154,7 +154,8 @@ BM_EvictionModes(benchmark::State &state)
         for (std::size_t p = 0; p < pages; ++p)
             vpns.push_back(pageNumber(region) + p);
         state.ResumeTiming();
-        runtime.evictionHandler().evictBatch(vpns, evictClock);
+        runtime.evictionHandler().submit(vpns, evictClock);
+        runtime.evictionHandler().drain(evictClock);
         evicted += pages;
     }
     state.counters["simNs/page"] =
@@ -198,7 +199,8 @@ BM_ReplicationCost(benchmark::State &state)
         for (std::size_t p = 0; p < pages; ++p)
             vpns.push_back(pageNumber(region) + p);
         state.ResumeTiming();
-        runtime.evictionHandler().evictBatch(vpns, evictClock);
+        runtime.evictionHandler().submit(vpns, evictClock);
+        runtime.evictionHandler().drain(evictClock);
         evicted += pages;
     }
     state.counters["simNs/page"] =

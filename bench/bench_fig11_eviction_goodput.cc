@@ -78,7 +78,8 @@ konaEvict(EvictionMode mode, const std::vector<unsigned> &lines,
     std::vector<Addr> vpns;
     for (std::size_t p = 0; p < regionPages; ++p)
         vpns.push_back(pageNumber(region) + p);
-    runtime.evictionHandler().evictBatch(vpns, evictClock);
+    runtime.evictionHandler().submit(vpns, evictClock);
+    runtime.evictionHandler().drain(evictClock);
 
     EvictResult result;
     result.ns = static_cast<double>(evictClock.now());

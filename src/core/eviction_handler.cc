@@ -46,12 +46,14 @@ runsOf(std::uint64_t mask, LineRuns &runs)
 EvictionHandler::EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
                                  CacheHierarchy &hierarchy,
                                  Controller &controller,
-                                 EvictionConfig config, MetricScope scope)
+                                 EvictionConfig config,
+                                 const RetryPolicy &retry,
+                                 TraceSession &trace, EventJournal &journal,
+                                 MetricScope scope)
     : fabric_(fabric), fpga_(fpga), hierarchy_(hierarchy),
       controller_(controller), config_(config), scope_(std::move(scope)),
-      retryPolicy_(config.retry.value_or(RetryPolicy{})),
-      poller_(fabric.latency()),
-      trace_(config.trace),
+      retryPolicy_(retry), poller_(fabric.latency()), trace_(trace),
+      journal_(journal),
       pagesEvicted_(scope_.counter("pages_evicted")),
       silent_(scope_.counter("silent_evictions")),
       lines_(scope_.counter("dirty_lines_written")),
@@ -132,7 +134,7 @@ EvictionHandler::record(const char *name, Tick ts, Tick dur,
     ev.dur = dur;
     ev.tid = tid;
     ev.args = std::move(args);
-    trace_->record(std::move(ev));
+    trace_.record(std::move(ev));
 }
 
 void
@@ -144,73 +146,75 @@ EvictionHandler::waitUntil(SimClock &clock, Tick until)
     clock.advanceTo(until);
 }
 
+template <typename Pending>
 void
-EvictionHandler::awaitPageIdle(Addr vpn, SimClock &clock)
+EvictionHandler::waitFor(SimClock &clock, Pending pending,
+                         Counter *stalls)
 {
     while (true) {
         reapCq();
         finalizeDue(clock.now());
-        auto it = inflightPage_.find(vpn);
-        if (it == inflightPage_.end())
+        auto next = earliestDoneAt(pending);
+        if (!next.has_value())
             return;
-        std::uint64_t batchId = it->second;
-        conflictStalls_.add();
-        auto next = earliestDoneAt([batchId](const Shipment &s) {
-            return s.batchId == batchId;
-        });
-        KONA_ASSERT(next.has_value(),
-                    "in-flight page ", vpn, " has no live shipment");
+        if (stalls != nullptr)
+            stalls->add();
         waitUntil(clock, *next);
     }
 }
 
-BatchTicket
-EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
+void
+EvictionHandler::awaitPageIdle(Addr vpn, SimClock &clock)
 {
-    if (req.vpns.empty())
-        return {};
+    waitFor(
+        clock,
+        [this, vpn](const Shipment &s) {
+            auto it = inflightPage_.find(vpn);
+            return it != inflightPage_.end() && it->second == s.batchId;
+        },
+        &conflictStalls_);
+    KONA_ASSERT(!inflightPage_.contains(vpn),
+                "in-flight page ", vpn, " has no live shipment");
+}
+
+void
+EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
+{
+    if (vpns.empty())
+        return;
 
     // Cross-shard section: shipments post on the fabric, occupy
     // memory-node landing rings and report into the Controller.
     ShardSection section(gate_, GateEvent::Evict);
 
     // Chunk so a worst-case batch fits one landing-area ring slot on
-    // every node; the ticket of the last chunk is returned (drain()
-    // remains the barrier covering all of them).
+    // every node.
     std::size_t limit = batchPageLimit();
-    if (req.vpns.size() > limit) {
-        BatchTicket last;
-        for (std::size_t i = 0; i < req.vpns.size(); i += limit) {
-            EvictionRequest chunk;
-            chunk.vpns.assign(
-                req.vpns.begin() + static_cast<std::ptrdiff_t>(i),
-                req.vpns.begin() + static_cast<std::ptrdiff_t>(
-                                       std::min(i + limit,
-                                                req.vpns.size())));
-            last = submit(chunk, clock);
-        }
-        return last;
+    if (vpns.size() > limit) {
+        for (std::size_t i = 0; i < vpns.size(); i += limit)
+            submit(vpns.subspan(i, std::min(limit, vpns.size() - i)),
+                   clock);
+        return;
     }
 
     const LatencyConfig &lat = fpga_.latency();
 
     // Fence conflicts first: a page already on the wire must land (or
     // fail) before this batch may pack a fresh snapshot of it.
-    for (Addr vpn : req.vpns)
+    for (Addr vpn : vpns)
         awaitPageIdle(vpn, clock);
 
     std::uint64_t batchId = nextBatchId_++;
     Batch &batch = batches_[batchId];
-    batch.id = batchId;
     batch.start = clock.now();
-    batch.requested = req.vpns.size();
+    batch.requested = vpns.size();
     batch.lane = traceLane_;
 
     // Phase 1: snoop CPU caches and read the dirty masks. Clean pages
     // drop silently; remote memory already holds their bytes.
     {
-        Span scan(trace_, clock, "bitmap_scan", "evict", traceLane_);
-        for (Addr vpn : req.vpns) {
+        Span scan(&trace_, clock, "bitmap_scan", "evict", traceLane_);
+        for (Addr vpn : vpns) {
             if (!fpga_.pageResident(vpn))
                 continue;
             hierarchy_.snoopPage(vpn);
@@ -235,7 +239,7 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
         batch.lastDone = clock.now();
         finalizeBatch(batch);
         batches_.erase(batchId);
-        return {batchId};
+        return;
     }
 
     // Phase 2: build one payload per destination node. The registered-
@@ -253,7 +257,7 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
     };
     std::map<NodeId, NodePayload> perNode;
 
-    Span packSpan(trace_, clock, "pack", "evict", traceLane_);
+    Span packSpan(&trace_, clock, "pack", "evict", traceLane_);
     double copyCost = 0.0;
     for (const PackedPage &page : batch.pages) {
         const std::uint8_t *frame = fpga_.framePointer(page.vpn);
@@ -355,9 +359,7 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
             // Backpressure: every slot holds an in-flight log. Fall
             // back to blocking on the oldest completion on this node.
             ringStalls_.add();
-            if (config_.journal != nullptr)
-                config_.journal->record(JournalKind::RingFullStall,
-                                        nodeId, batchId);
+            journal_.record(JournalKind::RingFullStall, nodeId, batchId);
             auto next = earliestDoneAt([nodeId](const Shipment &s) {
                 return s.node == nodeId;
             });
@@ -403,7 +405,6 @@ EvictionHandler::submit(const EvictionRequest &req, SimClock &clock)
         finalizeBatch(batch);
         batches_.erase(batchId);
     }
-    return {batchId};
 }
 
 void
@@ -495,9 +496,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     if (tracing()) {
         record("wire", s.wireStart, s.timeline.now() - s.wireStart,
                lane,
-               {{"node", std::to_string(s.node), false},
-                {"bytes", std::to_string(bytes), false},
-                {"send", std::to_string(s.sends), false}});
+               {{"node", s.node}, {"bytes", bytes}, {"send", s.sends}});
     }
 
     if (!s.clLog) {
@@ -528,11 +527,11 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     if (tracing()) {
         record("unpack", unpackStart, unpackDur,
                traceNodeThread(s.node),
-               {{"lines", std::to_string(receipt.lines), false},
-                {"runs", std::to_string(receipt.runs), false},
-                {"ok", receipt.ok ? "true" : "false", true}});
+               {{"lines", receipt.lines},
+                {"runs", receipt.runs},
+                {"ok", receipt.ok ? "true" : "false"}});
         record("ack", ackStart, s.timeline.now() - ackStart, lane,
-               {{"node", std::to_string(s.node), false}});
+               {{"node", s.node}});
     }
     wireBytes_.add(s.log.size());
     if (!receipt.ok) {
@@ -561,15 +560,14 @@ EvictionHandler::settleShipment(Shipment &s, bool succeeded)
     retransmits_.add(s.sends - 1);
     shipAttr_.record(s.doneAt - s.attrStart, s.comp.data(),
                      EvictComponent::Other);
-    if (!succeeded && config_.journal != nullptr)
-        config_.journal->record(JournalKind::RetriesExhausted, s.node,
-                                s.batchId, s.sends);
+    if (!succeeded)
+        journal_.record(JournalKind::RetriesExhausted, s.node, s.batchId,
+                        s.sends);
 }
 
-std::size_t
+void
 EvictionHandler::finalizeDue(Tick now)
 {
-    std::size_t batchesFinalized = 0;
     for (auto it = shipments_.begin(); it != shipments_.end();) {
         Shipment &s = *it;
         if (!s.acked || s.doneAt > now) {
@@ -595,10 +593,8 @@ EvictionHandler::finalizeDue(Tick now)
         if (batchDone) {
             finalizeBatch(batches_.at(batchId));
             batches_.erase(batchId);
-            ++batchesFinalized;
         }
     }
-    return batchesFinalized;
 }
 
 void
@@ -629,9 +625,8 @@ EvictionHandler::finalizeBatch(Batch &batch)
                 // and the page's next eviction re-ships these lines.
                 fpga_.markStaleHome(page.vpn, home, page.mask);
                 staleMarks_.add();
-                if (config_.journal != nullptr)
-                    config_.journal->record(JournalKind::StaleHomeMark,
-                                            home, page.vpn, page.mask);
+                journal_.record(JournalKind::StaleHomeMark, home, page.vpn,
+                                page.mask);
             }
         }
         if (!safe) {
@@ -657,20 +652,9 @@ EvictionHandler::finalizeBatch(Batch &batch)
     if (tracing()) {
         record("evict_batch", batch.start, end - batch.start,
                batch.lane,
-               {{"pages", std::to_string(batch.requested), false},
-                {"dirty_pages", std::to_string(batch.pages.size()),
-                 false}});
+               {{"pages", batch.requested},
+                {"dirty_pages", batch.pages.size()}});
     }
-}
-
-std::size_t
-EvictionHandler::poll(const SimClock &clock)
-{
-    // Gated: reaping can retransmit (fabric post) and finalizing can
-    // drop governed pages (directory release via the FPGA drop hook).
-    ShardSection section(gate_, GateEvent::Evict);
-    reapCq();
-    return finalizeDue(clock.now());
 }
 
 void
@@ -678,24 +662,14 @@ EvictionHandler::drain(SimClock &clock)
 {
     ShardSection section(gate_, GateEvent::Evict);
     while (true) {
-        reapCq();
-        finalizeDue(clock.now());
-        if (shipments_.empty()) {
-            if (requeue_.empty())
-                return;
-            // Pages re-dirtied while in flight go around again until
-            // the engine is quiescent.
-            EvictionRequest again;
-            again.vpns.assign(requeue_.begin(), requeue_.end());
-            requeue_.clear();
-            submit(again, clock);
-            continue;
-        }
-        auto next =
-            earliestDoneAt([](const Shipment &) { return true; });
-        KONA_ASSERT(next.has_value(), "unreaped eviction shipment");
-        waitUntil(clock, *next);
-        finalizeDue(clock.now());
+        waitFor(clock, [](const Shipment &) { return true; }, nullptr);
+        if (requeue_.empty())
+            return;
+        // Pages re-dirtied while in flight go around again until the
+        // engine is quiescent.
+        std::vector<Addr> again(requeue_.begin(), requeue_.end());
+        requeue_.clear();
+        submit(again, clock);
     }
 }
 
@@ -703,40 +677,9 @@ void
 EvictionHandler::drainNode(NodeId node, SimClock &clock)
 {
     ShardSection section(gate_, GateEvent::Evict);
-    while (true) {
-        reapCq();
-        finalizeDue(clock.now());
-        auto next = earliestDoneAt([node](const Shipment &s) {
-            return s.node == node;
-        });
-        if (!next.has_value())
-            return;
-        evacuateStalls_.add();
-        waitUntil(clock, *next);
-        finalizeDue(clock.now());
-    }
-}
-
-bool
-EvictionHandler::complete(BatchTicket ticket) const
-{
-    return ticket.valid() && batches_.find(ticket.id) == batches_.end();
-}
-
-void
-EvictionHandler::evictPage(Addr vpn, SimClock &clock)
-{
-    evictBatch({vpn}, clock);
-}
-
-void
-EvictionHandler::evictBatch(const std::vector<Addr> &vpns,
-                            SimClock &clock)
-{
-    EvictionRequest req;
-    req.vpns = vpns;
-    submit(req, clock);
-    drain(clock);
+    waitFor(
+        clock, [node](const Shipment &s) { return s.node == node; },
+        &evacuateStalls_);
 }
 
 bool
@@ -750,9 +693,7 @@ EvictionHandler::flushPage(Addr vpn, SimClock &clock)
     // in the invalidation path the holder is stalled, so one round is
     // the norm.
     for (int round = 0; round < 4 && fpga_.pageResident(vpn); ++round) {
-        EvictionRequest req;
-        req.vpns.push_back(vpn);
-        submit(req, clock);
+        submit({&vpn, 1}, clock);
         awaitPageIdle(vpn, clock);
         // Any re-queue entry is ours now: the next round (or the fact
         // that the page dropped) supersedes it.
@@ -762,18 +703,18 @@ EvictionHandler::flushPage(Addr vpn, SimClock &clock)
 }
 
 void
-EvictionHandler::pump(SimClock &backgroundClock, std::size_t freeWays)
+EvictionHandler::pump(SimClock &backgroundClock)
 {
     // Caller-provided-buffer protocol: the common every-set-has-room
     // case costs one counting pass and no writes; when the store owes
     // more victims than the warm buffer holds, grow once and re-ask.
     std::size_t owed = fpga_.backgroundVictims(
-        freeWays, victimBuf_.data(), victimBuf_.size());
+        pumpFreeWays, victimBuf_.data(), victimBuf_.size());
     if (owed == 0)
         return;
     if (owed > victimBuf_.size()) {
         victimBuf_.resize(owed);
-        owed = fpga_.backgroundVictims(freeWays, victimBuf_.data(),
+        owed = fpga_.backgroundVictims(pumpFreeWays, victimBuf_.data(),
                                        victimBuf_.size());
     }
     pumpVpns_.clear();
@@ -782,7 +723,8 @@ EvictionHandler::pump(SimClock &backgroundClock, std::size_t freeWays)
     // Background work renders on its own trace lane.
     std::uint32_t prevLane = traceLane_;
     traceLane_ = traceBackgroundThread;
-    evictBatch(pumpVpns_, backgroundClock);
+    submit(pumpVpns_, backgroundClock);
+    drain(backgroundClock);
     traceLane_ = prevLane;
 }
 

@@ -14,17 +14,17 @@
  *  - FullPage: whole-page RDMA writes (what Kona-VM is forced to do),
  *    linked into one chain per destination node.
  *
- * The engine is a pipelined, request-oriented design: submit() packs a
- * batch and posts one shipment per destination node into a ring of
- * landing-area slots (pipelineDepth slots per node), then returns —
- * batch k+1 packs while k and k-1 are on the wire or being unpacked.
- * poll() reaps finished shipments without blocking; drain() blocks
- * until everything (including NAK retransmits and re-dirtied requeues)
- * has landed. evictPage()/evictBatch() remain as synchronous wrappers
- * (submit + drain), so pipelineDepth = 1 reproduces the historical
- * fully synchronous behaviour exactly. Pages stay resident and fenced
- * in the FPGA while their log is in flight; a write to a fenced page
- * re-dirties it and the engine re-queues it rather than losing lines.
+ * The engine is pipelined: submit() packs a batch and posts one
+ * shipment per destination node into a ring of landing-area slots
+ * (pipelineDepth slots per node), then returns, so batch k+1 packs
+ * while k and k-1 are on the wire or being unpacked. The barriers
+ * drain(), drainNode() and flushPage() block until everything, one
+ * node's shipments, or one page has settled; all three share one wait
+ * loop. A caller that wants a synchronous eviction calls submit() then
+ * drain(), so pipelineDepth = 1 reproduces the fully synchronous
+ * engine exactly. Pages stay resident and fenced in the FPGA while
+ * their log is in flight; a write to a fenced page re-dirties it and
+ * the engine re-queues it rather than losing lines.
  */
 
 #ifndef KONA_CORE_EVICTION_HANDLER_H
@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -52,9 +53,9 @@ namespace kona {
 enum class EvictionMode : std::uint8_t { ClLog, FullPage };
 
 /**
- * Static configuration of the eviction engine. Replaces the old
- * post-construction setters (setMode/setRetryPolicy/setTraceSession);
- * embed in KonaConfig as `evict`.
+ * Static configuration of the eviction engine; embed in KonaConfig as
+ * `evict`. The retry policy, trace session and event journal come from
+ * the owning runtime (constructor arguments).
  */
 struct EvictionConfig
 {
@@ -71,24 +72,10 @@ struct EvictionConfig
 
     /** Accesses between background eviction pumps. */
     std::size_t pumpPeriod = 256;
-
-    /** Free ways per FMem set the background pump maintains. */
-    std::size_t freeWays = 1;
-
-    /**
-     * Retry discipline for shipping payloads (drops, NAKs). nullopt
-     * inherits KonaConfig::retry when embedded there (a default-
-     * constructed policy otherwise).
-     */
-    std::optional<RetryPolicy> retry;
-
-    /** Span tracer for the eviction path (KonaRuntime wires its own). */
-    TraceSession *trace = nullptr;
-
-    /** Event journal for stale-home marks, retries-exhausted give-ups
-     *  and ring-full stalls (KonaRuntime wires its own). */
-    EventJournal *journal = nullptr;
 };
+
+/** Free ways per FMem set the background pump maintains. */
+constexpr std::size_t pumpFreeWays = 1;
 
 /**
  * Time breakdown of the eviction path (Fig 11c). The components
@@ -111,49 +98,32 @@ struct EvictionBreakdown
     }
 };
 
-/** A batch of pages handed to submit(). */
-struct EvictionRequest
-{
-    std::vector<Addr> vpns;   ///< VFMem page numbers to evict
-};
-
-/**
- * Handle to one submitted batch. submit() on an oversized request
- * chunks internally and returns the last chunk's ticket; drain() is
- * the completion barrier that covers every outstanding batch.
- */
-struct BatchTicket
-{
-    std::uint64_t id = 0;
-    bool valid() const { return id != 0; }
-};
-
 /** Kona's eviction engine. */
 class EvictionHandler
 {
   public:
-    /** @param scope Telemetry scope for the eviction counters. */
+    /**
+     * @param retry Retry discipline for shipping payloads (drops, NAKs).
+     * @param trace Span tracer for the eviction path.
+     * @param journal Receives stale-home marks, retries-exhausted
+     *        give-ups and ring-full stalls.
+     * @param scope Telemetry scope for the eviction counters.
+     */
     EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
                     CacheHierarchy &hierarchy, Controller &controller,
-                    EvictionConfig config = {}, MetricScope scope = {});
-
-    // --- asynchronous request API ------------------------------------
+                    EvictionConfig config, const RetryPolicy &retry,
+                    TraceSession &trace, EventJournal &journal,
+                    MetricScope scope = {});
 
     /**
-     * Pack @p req and post one shipment per destination node, blocking
+     * Pack @p vpns and post one shipment per destination node, blocking
      * only while a needed ring slot is busy (counted in
      * ringFullStalls) or a requested page's previous shipment is still
-     * in flight. Only scan + pack cost is charged to @p clock; wire,
-     * unpack and ack time accrue on the shipments' own timelines.
+     * in flight. A batch larger than one ring slot holds is chunked.
+     * Only scan + pack cost is charged to @p clock; wire, unpack and
+     * ack time accrue on the shipments' own timelines.
      */
-    BatchTicket submit(const EvictionRequest &req, SimClock &clock);
-
-    /**
-     * Reap finished shipments without blocking: finalize every batch
-     * whose last shipment completed at or before @p clock's now.
-     * @return Batches finalized by this call.
-     */
-    std::size_t poll(const SimClock &clock);
+    void submit(std::span<const Addr> vpns, SimClock &clock);
 
     /**
      * Block until every in-flight shipment acked (advancing @p clock
@@ -174,58 +144,32 @@ class EvictionHandler
      */
     void drainNode(NodeId node, SimClock &clock);
 
-    /** Whether @p ticket's batch has been finalized. */
-    bool complete(BatchTicket ticket) const;
-
-    // --- synchronous wrappers ----------------------------------------
-
-    /**
-     * Evict VFMem page @p vpn: snoop CPU caches, write dirty lines (or
-     * the full page) to every remote copy, drop the page from FMem.
-     * Synchronous wrapper: submit + drain.
-     */
-    void evictPage(Addr vpn, SimClock &clock);
-
-    /**
-     * Evict a batch of pages together: one CL log (or one linked WR
-     * chain) per destination node, one ack per node. Synchronous
-     * wrapper: submit + drain.
-     */
-    void evictBatch(const std::vector<Addr> &vpns, SimClock &clock);
-
-    /**
-     * Background sweep: keep @p freeWays ways free in every FMem set,
-     * charging the work to the background clock so it stays off the
-     * application's critical path.
-     */
-    void pump(SimClock &backgroundClock, std::size_t freeWays = 1);
-
     /**
      * Targeted flush for a remote coherence invalidation: ship @p vpn's
      * dirty lines and wait until *that page* (and only that page) has
      * settled, without draining unrelated in-flight shipments the way
-     * evictPage()'s drain() barrier would. If the page was clean it
-     * drops silently; if every home was unreachable it stays resident.
+     * drain() would. If the page was clean it drops silently; if every
+     * home was unreachable it stays resident.
      * @return true when the page is gone from FMem (ownership can
      *         transfer), false when the writeback could not land.
      */
     bool flushPage(Addr vpn, SimClock &clock);
 
-    // --- configuration ------------------------------------------------
-
-    const EvictionConfig &evictionConfig() const { return config_; }
-    EvictionMode mode() const { return config_.mode; }
+    /**
+     * Background sweep: keep pumpFreeWays ways free in every FMem set
+     * (submit + drain), charging the work to the background clock so
+     * it stays off the application's critical path.
+     */
+    void pump(SimClock &backgroundClock);
 
     /**
-     * Parallel engine: every public entry point (submit/poll/drain/
-     * drainNode/flushPage/pump) becomes a gated cross-shard section —
-     * shipments post on the fabric, land in memory-node rings and
-     * report into the Controller. Sections nest (pump -> submit is a
-     * depth bump). Default endpoint = sequential mode, zero overhead.
+     * Parallel engine: every barrier and submit() (and so pump())
+     * runs as a gated cross-shard section — shipments post on the
+     * fabric, land in memory-node rings and report into the
+     * Controller. Sections nest (drain -> submit is a depth bump).
+     * Default endpoint = sequential mode, zero overhead.
      */
     void setGateEndpoint(const GateEndpoint &ep) { gate_ = ep; }
-    std::size_t pipelineDepth() const { return config_.pipelineDepth; }
-    const RetryPolicy &retryPolicy() const { return retryPolicy_; }
 
     // --- statistics ---------------------------------------------------
 
@@ -283,7 +227,6 @@ class EvictionHandler
     /** An in-flight batch: pages + the shipments carrying them. */
     struct Batch
     {
-        std::uint64_t id = 0;
         std::vector<PackedPage> pages;
         std::map<Addr, std::vector<NodeId>> homes;
         std::vector<NodeId> reached;   ///< nodes whose shipment landed
@@ -353,7 +296,7 @@ class EvictionHandler
     void settleShipment(Shipment &s, bool succeeded);
 
     /** Finalize every acked shipment with doneAt <= @p now. */
-    std::size_t finalizeDue(Tick now);
+    void finalizeDue(Tick now);
 
     /** Drop/keep/requeue the pages of a fully-acked batch. */
     void finalizeBatch(Batch &batch);
@@ -376,13 +319,22 @@ class EvictionHandler
     /** Advance @p clock to @p until, charging the wait to waitNs. */
     void waitUntil(SimClock &clock, Tick until);
 
+    /**
+     * The wait loop behind every barrier: reap and finalize until no
+     * in-flight shipment passes @p pending, each round advancing
+     * @p clock to the earliest such shipment's ack and counting the
+     * wait in @p stalls (when non-null).
+     */
+    template <typename Pending>
+    void waitFor(SimClock &clock, Pending pending, Counter *stalls);
+
     /** Block until no in-flight shipment still covers @p vpn. */
     void awaitPageIdle(Addr vpn, SimClock &clock);
 
     /** Record a manual trace event (explicit ts/dur, any lane). */
     void record(const char *name, Tick ts, Tick dur, std::uint32_t tid,
                 std::vector<TraceArg> args);
-    bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
+    bool tracing() const { return trace_.enabled(); }
 
     Fabric &fabric_;
     CoherentFpga &fpga_;
@@ -413,7 +365,8 @@ class EvictionHandler
     std::uint64_t nextShipmentId_ = 1;
     std::uint64_t retrySeed_ = 0x5eedULL;
 
-    TraceSession *trace_ = nullptr;
+    TraceSession &trace_;
+    EventJournal &journal_;
     std::uint32_t traceLane_ = traceAppThread;
     Counter &pagesEvicted_;
     Counter &silent_;

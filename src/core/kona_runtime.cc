@@ -6,27 +6,6 @@
 
 namespace kona {
 
-namespace {
-
-/**
- * Resolve the eviction engine's config from the runtime's: inherit the
- * shared retry policy when none was set, and always wire the runtime's
- * own trace session and event journal.
- */
-EvictionConfig
-resolvedEvictionConfig(const KonaConfig &config, TraceSession &trace,
-                       EventJournal &journal)
-{
-    EvictionConfig evict = config.evict;
-    if (!evict.retry.has_value())
-        evict.retry = config.retry;
-    evict.trace = &trace;
-    evict.journal = &journal;
-    return evict;
-}
-
-} // namespace
-
 KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
                          NodeId computeNode, const KonaConfig &config,
                          MetricScope scope)
@@ -37,9 +16,8 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
       scope_(scope.sub("cn" + std::to_string(computeNode))),
       fpga_(fabric, computeNode, config.fpga, scope_.sub("fpga")),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
-      evictor_(fabric, fpga_, hierarchy_, controller,
-               resolvedEvictionConfig(config, trace_, journal_),
-               scope_.sub("evict")),
+      evictor_(fabric, fpga_, hierarchy_, controller, config.evict,
+               config.retry, trace_, journal_, scope_.sub("evict")),
       vfmemCursor_(config.fpga.vfmemBase),
       reads_(scope_.counter("reads")),
       writes_(scope_.counter("writes")),
@@ -64,7 +42,8 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
     fpga_.setTraceSession(&trace_);
     fpga_.setEvictionCallback(
         [this](const FMemCache::Victim &victim, SimClock &clock) {
-            evictor_.evictPage(victim.vfmemPage, clock);
+            evictor_.submit({&victim.vfmemPage, 1}, clock);
+            evictor_.drain(clock);
         });
     // Every fetch-path observation feeds the Controller's failure
     // detector (fail-stop) and its EWMA health scorer (gray failure):
@@ -98,13 +77,13 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
             pageNumber(config_.fpga.vfmemBase),
             config_.fpga.vfmemSize / pageSize, tierCfg,
             scope_.sub("tier"));
-        demoteReq_.vpns.reserve(tierCfg.maxDemotesPerPump);
+        demoteVpns_.reserve(tierCfg.maxDemotesPerPump);
         tiering_->setHooks(
             [this](Addr vpn, Tick issueTick) {
                 return fpga_.tierPromote(vpn, issueTick);
             },
             [this](const Addr *vpns, std::size_t n) {
-                demoteReq_.vpns.clear();
+                demoteVpns_.clear();
                 for (std::size_t i = 0; i < n; ++i) {
                     // submit() blocks on pages already in flight;
                     // a cold page's earlier shipment covers it.
@@ -114,10 +93,9 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
                     // coherence protocol's own drop path.
                     if (agent_ != nullptr && agent_->governs(vpns[i]))
                         continue;
-                    demoteReq_.vpns.push_back(vpns[i]);
+                    demoteVpns_.push_back(vpns[i]);
                 }
-                if (!demoteReq_.vpns.empty())
-                    evictor_.submit(demoteReq_, backgroundClock_);
+                evictor_.submit(demoteVpns_, backgroundClock_);
             },
             [this](Addr vpn) { return fpga_.pageResident(vpn); },
             [this] {
@@ -395,21 +373,7 @@ KonaRuntime::read(Addr addr, void *buf, std::size_t size)
     fpga_.readBytes(addr, buf, size);
     reads_.add();
     bytesRead_.add(size);
-
-    if (++accessesSincePump_ >= config_.evict.pumpPeriod) {
-        accessesSincePump_ = 0;
-        // Evictor first so a fresh promotion is never the very next
-        // pump's victim: promoted pages carry zero touches until the
-        // first demand hit, which scan/lfu would otherwise reap
-        // before the page had any chance to prove itself.
-        evictor_.pump(backgroundClock_, config_.evict.freeWays);
-        if (tiering_ != nullptr)
-            tiering_->pump(appClock_.now());
-    }
-    if (sampler_ != nullptr)
-        sampler_->onTick(appClock_.now());
-    // Parallel engine: advertise this shard's new stamp lower bound.
-    gate_.publish();
+    finishAccess();
 }
 
 void
@@ -428,14 +392,19 @@ KonaRuntime::write(Addr addr, const void *buf, std::size_t size)
     // the simulated hierarchy's writebacks mark the same lines when
     // they drain, so the mask is a superset-correct union.
     fpga_.markDirtyRange(addr, size);
+    finishAccess();
+}
 
+void
+KonaRuntime::finishAccess()
+{
     if (++accessesSincePump_ >= config_.evict.pumpPeriod) {
         accessesSincePump_ = 0;
         // Evictor first so a fresh promotion is never the very next
         // pump's victim: promoted pages carry zero touches until the
         // first demand hit, which scan/lfu would otherwise reap
         // before the page had any chance to prove itself.
-        evictor_.pump(backgroundClock_, config_.evict.freeWays);
+        evictor_.pump(backgroundClock_);
         if (tiering_ != nullptr)
             tiering_->pump(appClock_.now());
     }
@@ -449,8 +418,8 @@ void
 KonaRuntime::writebackAll()
 {
     hierarchy_.flushAll();
-    evictor_.evictBatch(fpga_.fmem().residentPages(),
-                        backgroundClock_);
+    evictor_.submit(fpga_.fmem().residentPages(), backgroundClock_);
+    evictor_.drain(backgroundClock_);
 }
 
 Tick

@@ -72,8 +72,8 @@ struct KonaConfig
 
     /**
      * Eviction engine configuration (mode, pipeline depth, pump
-     * cadence). Leave evict.retry unset to inherit `retry` above;
-     * evict.trace is overridden with the runtime's own session.
+     * cadence). The engine retries with `retry` above and traces into
+     * the runtime's own session and event journal.
      */
     EvictionConfig evict;
 
@@ -278,6 +278,10 @@ class KonaRuntime : public RemoteMemoryRuntime
     /** Simulate until the whole span is simultaneously resident. */
     void ensureSpan(Addr addr, std::size_t size, AccessType type);
 
+    /** After each read/write: pump cadence (evictor, then tiering),
+     *  sampler tick and gate publish. */
+    void finishAccess();
+
     /** Map new slabs until the heap can satisfy @p need bytes. */
     void ensureHeap(std::size_t need);
 
@@ -302,7 +306,7 @@ class KonaRuntime : public RemoteMemoryRuntime
     std::unique_ptr<RegionAllocator> heap_;
     std::unique_ptr<TieringEngine> tiering_;
     /** Reused demotion batch so tiering pumps never allocate. */
-    EvictionRequest demoteReq_;
+    std::vector<Addr> demoteVpns_;
     std::unique_ptr<CoherenceAgent> agent_;
     DirectoryService *coherenceDir_ = nullptr;
     Addr vfmemCursor_;

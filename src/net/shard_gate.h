@@ -62,7 +62,7 @@ class SimClock;
 enum class GateEvent : std::uint8_t
 {
     Fetch,      ///< remote page fetch (demand/prefetch/tier)
-    Evict,      ///< eviction submit/poll/drain/pump/flush
+    Evict,      ///< eviction submit/drain/drainNode/flushPage
     Coherence,  ///< directory acquire/release/invalidate
     Control,    ///< slab allocation, health sweep, recovery
     Scripted,   ///< externally scheduled op (litmus replay)

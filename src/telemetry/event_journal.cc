@@ -88,13 +88,13 @@ EventJournal::record(JournalKind kind, NodeId node, std::uint64_t a,
         tev.ts = ev.ts;
         tev.tid = traceAppThread;
         tev.ph = 'i';
-        tev.args.push_back({"node", std::to_string(node), false});
+        tev.args.emplace_back("node", node);
         if (kind == JournalKind::HealthTransition) {
-            tev.args.push_back({"from", journalHealthName(a), true});
-            tev.args.push_back({"to", journalHealthName(b), true});
+            tev.args.emplace_back("from", journalHealthName(a));
+            tev.args.emplace_back("to", journalHealthName(b));
         }
         if (epoch != 0)
-            tev.args.push_back({"epoch", std::to_string(epoch), false});
+            tev.args.emplace_back("epoch", epoch);
         trace_->record(std::move(tev));
     }
 }

@@ -189,10 +189,10 @@ TraceSession::writeJson(std::ostream &os) const
                 if (!firstArg)
                     os << ", ";
                 os << "\"" << jsonEscape(arg.key) << "\": ";
-                if (arg.isString)
-                    os << "\"" << jsonEscape(arg.value) << "\"";
+                if (arg.text != nullptr)
+                    os << "\"" << jsonEscape(arg.text) << "\"";
                 else
-                    os << arg.value;
+                    os << arg.number;
                 firstArg = false;
             }
             os << "}";

@@ -48,12 +48,15 @@ traceNodeThread(NodeId node)
     return 100 + static_cast<std::uint32_t>(node);
 }
 
-/** One argument attached to a span. */
+/** One argument attached to a span: a number or a static string. */
 struct TraceArg
 {
-    std::string key;
-    std::string value;  ///< pre-rendered; quoted iff @ref isString
-    bool isString = false;
+    TraceArg(const char *k, std::uint64_t n) : key(k), number(n) {}
+    TraceArg(const char *k, const char *s) : key(k), text(s) {}
+
+    const char *key;               ///< string literal (not owned)
+    std::uint64_t number = 0;      ///< the value when @ref text is null
+    const char *text = nullptr;    ///< static string value (not owned)
 };
 
 /** One trace event: a complete span ("ph":"X", the default) or an
@@ -181,14 +184,15 @@ class Span
     arg(const char *key, std::uint64_t value)
     {
         if (active())
-            event_.args.push_back({key, std::to_string(value), false});
+            event_.args.emplace_back(key, value);
     }
 
+    /** @param value A string literal or other static name. */
     void
-    arg(const char *key, std::string value)
+    arg(const char *key, const char *value)
     {
         if (active())
-            event_.args.push_back({key, std::move(value), true});
+            event_.args.emplace_back(key, value);
     }
 
   private:

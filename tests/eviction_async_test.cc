@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the pipelined asynchronous eviction engine: the
- * submit/poll/drain API, the depth-sweep content-equivalence oracle
- * (final remote bytes at depth N match the synchronous depth-1 engine,
- * including under injected drops and corruption), out-of-order batch
- * completion across nodes, NAK-retransmit of an in-flight ring slot,
+ * Tests for the pipelined asynchronous eviction engine: submit and
+ * the drain/drainNode/flushPage barriers, the depth-sweep
+ * content-equivalence oracle (final remote bytes at depth N match the
+ * synchronous depth-1 engine, including under injected drops and
+ * corruption), out-of-order batch completion across nodes, the
+ * per-page flush barrier, NAK-retransmit of an in-flight ring slot,
  * the write-to-in-flight-page refetch fence, and ring-full
  * backpressure.
  */
@@ -47,6 +48,14 @@ struct AsyncRig
     }
 
     EvictionHandler &handler() { return runtime->evictionHandler(); }
+
+    /** Synchronous eviction: submit then drain. */
+    void
+    evictSync(const std::vector<Addr> &pages, SimClock &clock)
+    {
+        handler().submit(pages, clock);
+        handler().drain(clock);
+    }
 
     Addr vpn(std::size_t p) const { return pageNumber(region) + p; }
 
@@ -109,7 +118,7 @@ TEST(AsyncEviction, DepthSweepMatchesSynchronousContent)
         AsyncRig rig(depth);
         rig.dirtyAll(regionPages, 4);
         SimClock clock;
-        rig.handler().evictBatch(rig.vpns(0, regionPages), clock);
+        rig.evictSync(rig.vpns(0, regionPages), clock);
 
         for (std::size_t p = 0; p < regionPages; ++p) {
             for (unsigned l = 0; l < 4; ++l) {
@@ -140,7 +149,7 @@ TEST(AsyncEviction, DepthSweepMatchesUnderDropsAndCorruption)
         injector.profile(1).dropProbability = 0.2;
         injector.profile(1).corruptProbability = 0.2;
         SimClock clock;
-        rig.handler().evictBatch(rig.vpns(0, 64), clock);
+        rig.evictSync(rig.vpns(0, 64), clock);
 
         for (std::size_t p = 0; p < 64; ++p) {
             for (unsigned l = 0; l < 2; ++l) {
@@ -155,48 +164,75 @@ TEST(AsyncEviction, DepthSweepMatchesUnderDropsAndCorruption)
 }
 
 // ---------------------------------------------------------------------
-// submit/poll: out-of-order completion across destination nodes.
+// Targeted barriers: out-of-order completion across destination nodes.
 // ---------------------------------------------------------------------
+
+/**
+ * Two memory nodes; the 1 MiB slabs alternate between them, so the
+ * region's first 256 pages and last 256 pages live on different nodes.
+ */
+struct TwoNodeRig : AsyncRig
+{
+    TwoNodeRig() : AsyncRig(4, 2)
+    {
+        dirtyAll(regionPages, 64);
+        bigNode = runtime->fpga().translation().translate(region).node;
+        smallNode = runtime->fpga()
+                        .translation()
+                        .translate(region + (regionPages - 1) * pageSize)
+                        .node;
+    }
+
+    NodeId bigNode = 0;
+    NodeId smallNode = 0;
+};
 
 TEST(AsyncEviction, OutOfOrderBatchCompletion)
 {
-    // Two memory nodes; the 1 MiB slabs alternate between them, so the
-    // region's first 256 pages and last 256 pages live on different
-    // nodes. A huge batch to one node followed by a tiny batch to the
-    // other completes in reverse submission order.
-    AsyncRig rig(4, 2);
-    rig.dirtyAll(regionPages, 64);
-
-    RemoteLocation first =
-        rig.runtime->fpga().translation().translate(rig.region);
-    RemoteLocation last =
-        rig.runtime->fpga().translation().translate(
-            rig.region + (regionPages - 1) * pageSize);
-    ASSERT_NE(first.node, last.node);
+    // A huge batch to one node followed by a tiny batch to the other
+    // completes in reverse submission order.
+    TwoNodeRig rig;
+    ASSERT_NE(rig.bigNode, rig.smallNode);
 
     SimClock clock;
-    BatchTicket big =
-        rig.handler().submit({rig.vpns(0, 256)}, clock);
-    BatchTicket small =
-        rig.handler().submit({rig.vpns(256, 257)}, clock);
-    ASSERT_TRUE(big.valid());
-    ASSERT_TRUE(small.valid());
-    EXPECT_FALSE(rig.handler().complete(big));
-    EXPECT_FALSE(rig.handler().complete(small));
+    rig.handler().submit(rig.vpns(0, 256), clock);
+    rig.handler().submit(rig.vpns(256, 257), clock);
+    EXPECT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
+    EXPECT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(256)));
 
-    // Walk sim time forward: the tiny batch (submitted second) must
-    // finalize while the big one is still in flight.
-    while (!rig.handler().complete(small)) {
-        clock.advance(1000);
-        rig.handler().poll(clock);
-    }
-    EXPECT_FALSE(rig.handler().complete(big));
+    // Waiting out the tiny batch's node finalizes it (submitted
+    // second) while the big one is still in flight.
+    rig.handler().drainNode(rig.smallNode, clock);
+    EXPECT_FALSE(rig.runtime->fpga().pageResident(rig.vpn(256)));
+    EXPECT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
     EXPECT_GT(rig.handler().inflightShipments(), 0u);
 
     rig.handler().drain(clock);
-    EXPECT_TRUE(rig.handler().complete(big));
+    EXPECT_FALSE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
     EXPECT_EQ(rig.handler().pagesEvicted(), 257u);
     EXPECT_EQ(rig.remoteValue(256, 0), AsyncRig::expected(256, 0));
+    EXPECT_EQ(rig.remoteValue(0, 63), AsyncRig::expected(0, 63));
+}
+
+TEST(AsyncEviction, FlushPageWaitsForItsPageOnly)
+{
+    // A coherence flush of one page must not wait out an unrelated
+    // batch in flight to the other node.
+    TwoNodeRig rig;
+    ASSERT_NE(rig.bigNode, rig.smallNode);
+
+    SimClock clock;
+    rig.handler().submit(rig.vpns(0, 256), clock);
+    ASSERT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
+
+    EXPECT_TRUE(rig.handler().flushPage(rig.vpn(300), clock));
+    EXPECT_FALSE(rig.runtime->fpga().pageResident(rig.vpn(300)));
+    for (unsigned l = 0; l < 64; ++l)
+        EXPECT_EQ(rig.remoteValue(300, l), AsyncRig::expected(300, l));
+    EXPECT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
+
+    rig.handler().drain(clock);
+    EXPECT_EQ(rig.handler().pagesEvicted(), 257u);
     EXPECT_EQ(rig.remoteValue(0, 63), AsyncRig::expected(0, 63));
 }
 
@@ -217,7 +253,7 @@ TEST(AsyncEviction, NakRetransmitsInflightSlot)
     // One submit per page: 32 independent shipments through the ring,
     // about half of which are corrupted on their first send.
     for (std::size_t p = 0; p < 32; ++p)
-        rig.handler().submit({rig.vpns(p, p + 1)}, clock);
+        rig.handler().submit(rig.vpns(p, p + 1), clock);
     rig.handler().drain(clock);
 
     EXPECT_GE(rig.handler().checksumNaks(), 1u);
@@ -236,9 +272,7 @@ TEST(AsyncEviction, WriteToInflightPageRequeues)
     AsyncRig rig(4);
     rig.dirtyAll(1, 1);
     SimClock clock;
-    BatchTicket t = rig.handler().submit({rig.vpns(0, 1)}, clock);
-    ASSERT_TRUE(t.valid());
-    ASSERT_FALSE(rig.handler().complete(t));
+    rig.handler().submit(rig.vpns(0, 1), clock);
     // The page stays resident and fenced while its log is on the wire.
     EXPECT_TRUE(rig.runtime->fpga().pageResident(rig.vpn(0)));
     EXPECT_TRUE(rig.runtime->fpga().evictionInFlight(rig.vpn(0)));
@@ -264,12 +298,12 @@ TEST(AsyncEviction, SubmitOfInflightPageStallsThenShipsFreshData)
     AsyncRig rig(4);
     rig.dirtyAll(1, 1);
     SimClock clock;
-    rig.handler().submit({rig.vpns(0, 1)}, clock);
+    rig.handler().submit(rig.vpns(0, 1), clock);
     rig.runtime->store<std::uint64_t>(
         rig.region + 3 * cacheLineSize, 42);
     rig.runtime->hierarchy().flushAll();
 
-    rig.handler().submit({rig.vpns(0, 1)}, clock);
+    rig.handler().submit(rig.vpns(0, 1), clock);
     EXPECT_GE(rig.handler().pageConflictStalls(), 1u);
     rig.handler().drain(clock);
     EXPECT_EQ(rig.remoteValue(0, 0), AsyncRig::expected(0, 0));
@@ -287,8 +321,8 @@ TEST(AsyncEviction, RingFullBackpressureBlocksAndCounts)
     AsyncRig shallow(1);
     shallow.dirtyAll(2, 1);
     SimClock clock;
-    shallow.handler().submit({shallow.vpns(0, 1)}, clock);
-    shallow.handler().submit({shallow.vpns(1, 2)}, clock);
+    shallow.handler().submit(shallow.vpns(0, 1), clock);
+    shallow.handler().submit(shallow.vpns(1, 2), clock);
     EXPECT_GE(shallow.handler().ringFullStalls(), 1u);
     shallow.handler().drain(clock);
     EXPECT_EQ(shallow.handler().pagesEvicted(), 2u);
@@ -297,8 +331,8 @@ TEST(AsyncEviction, RingFullBackpressureBlocksAndCounts)
     AsyncRig deep(4);
     deep.dirtyAll(2, 1);
     SimClock clock2;
-    deep.handler().submit({deep.vpns(0, 1)}, clock2);
-    deep.handler().submit({deep.vpns(1, 2)}, clock2);
+    deep.handler().submit(deep.vpns(0, 1), clock2);
+    deep.handler().submit(deep.vpns(1, 2), clock2);
     EXPECT_EQ(deep.handler().ringFullStalls(), 0u);
     deep.handler().drain(clock2);
     EXPECT_EQ(deep.handler().pagesEvicted(), 2u);
@@ -319,7 +353,7 @@ TEST(AsyncEviction, DeepPipelineBeatsSynchronous)
         AsyncRig rig(depth, 1, nullptr, pages);
         rig.dirtyAll(pages, 64);
         SimClock clock;
-        rig.handler().evictBatch(rig.vpns(0, pages), clock);
+        rig.evictSync(rig.vpns(0, pages), clock);
         return static_cast<double>(clock.now());
     };
     double sync = evictAll(1);

@@ -60,6 +60,14 @@ class EvictionFixture : public ::testing::Test
 
     EvictionHandler &handler() { return runtime->evictionHandler(); }
 
+    /** Synchronous eviction: submit then drain. */
+    void
+    evictSync(const std::vector<Addr> &pages, SimClock &clock)
+    {
+        handler().submit(pages, clock);
+        handler().drain(clock);
+    }
+
     Fabric fabric;
     Controller controller;
     std::unique_ptr<MemoryNode> node;
@@ -73,7 +81,7 @@ TEST_F(EvictionFixture, ClLogLandsBytesExactly)
     dirtyPage(1, 1);
     runtime->hierarchy().flushAll();
     SimClock clock;
-    handler().evictBatch(vpns(0, 2), clock);
+    evictSync(vpns(0, 2), clock);
 
     // Verify against the memory node directly.
     for (std::size_t p = 0; p < 2; ++p) {
@@ -98,14 +106,14 @@ TEST_F(EvictionFixture, BatchSharesOneAck)
     dirtyPage(3, 1);
     runtime->hierarchy().flushAll();
     SimClock batched;
-    handler().evictBatch(vpns(0, 4), batched);
+    evictSync(vpns(0, 4), batched);
 
     for (std::size_t p = 4; p < 8; ++p)
         dirtyPage(p, 1);
     runtime->hierarchy().flushAll();
     SimClock individual;
     for (std::size_t p = 4; p < 8; ++p)
-        handler().evictPage(pageNumber(region) + p, individual);
+        evictSync({pageNumber(region) + p}, individual);
 
     EXPECT_LT(batched.now(), individual.now() / 2);
 }
@@ -119,7 +127,7 @@ TEST_F(EvictionFixture, SilentEvictionForCleanPages)
     runtime->hierarchy().flushAll();
     auto wireBefore = handler().bytesOnWire();
     SimClock clock;
-    handler().evictBatch(vpns(0, 4), clock);
+    evictSync(vpns(0, 4), clock);
     EXPECT_EQ(handler().silentEvictions(), 4u);
     EXPECT_EQ(handler().bytesOnWire(), wireBefore);
     // Silent evictions still free the frames.
@@ -132,7 +140,7 @@ TEST_F(EvictionFixture, SnoopCapturesCpuCachedDirtyLines)
     // caches and only the snoop inside eviction can find it.
     dirtyPage(7, 1);
     SimClock clock;
-    handler().evictBatch(vpns(7, 8), clock);
+    evictSync(vpns(7, 8), clock);
     RemoteLocation loc = runtime->fpga().translation().translate(
         region + 7 * pageSize);
     std::uint64_t value = 0;
@@ -147,7 +155,7 @@ TEST_F(EvictionFixture, BreakdownSumsToTotal)
     runtime->hierarchy().flushAll();
     handler().resetBreakdown();
     SimClock clock;
-    handler().evictBatch(vpns(0, 16), clock);
+    evictSync(vpns(0, 16), clock);
     const EvictionBreakdown &bd = handler().breakdown();
     EXPECT_GT(bd.bitmapNs, 0.0);
     EXPECT_GT(bd.copyNs, 0.0);
@@ -170,7 +178,7 @@ TEST_F(EvictionFixture, LargeBatchesAreChunked)
     }
     runtime->hierarchy().flushAll();
     SimClock clock;
-    EXPECT_NO_THROW(handler().evictBatch(vpns(0, 512), clock));
+    EXPECT_NO_THROW(evictSync(vpns(0, 512), clock));
     EXPECT_EQ(handler().pagesEvicted(), 512u);
     // Spot-check content.
     RemoteLocation loc = runtime->fpga().translation().translate(
@@ -189,7 +197,7 @@ TEST_F(EvictionFixture, FullPageModeShipsWholePages)
     dirtyPage(1, 1);
     runtime->hierarchy().flushAll();
     SimClock clock;
-    handler().evictBatch(vpns(0, 2), clock);
+    evictSync(vpns(0, 2), clock);
     EXPECT_EQ(handler().bytesOnWire(), 2 * pageSize);
     EXPECT_EQ(handler().dirtyLinesWritten(), 2u);
 
@@ -207,13 +215,13 @@ TEST_F(EvictionFixture, NodeDownKeepsDirtyPagesResident)
     runtime->hierarchy().flushAll();
     fabric.setNodeDown(5, true);
     SimClock clock;
-    handler().evictBatch(vpns(0, 1), clock);
+    evictSync(vpns(0, 1), clock);
     // Data must not be lost: the page stays resident.
     EXPECT_TRUE(runtime->fpga().pageResident(pageNumber(region)));
     EXPECT_EQ(handler().pagesEvicted(), 0u);
 
     fabric.setNodeDown(5, false);
-    handler().evictBatch(vpns(0, 1), clock);
+    evictSync(vpns(0, 1), clock);
     EXPECT_FALSE(runtime->fpga().pageResident(pageNumber(region)));
     EXPECT_EQ(runtime->load<std::uint64_t>(region), 1u);
 }
@@ -226,17 +234,18 @@ TEST_F(EvictionFixture, PumpKeepsFreeWays)
     for (std::size_t p = 0; p < 3 * frames; ++p)
         runtime->store<std::uint64_t>(big + p * pageSize, p);
     SimClock bg;
-    handler().pump(bg, 1);
+    handler().pump(bg);
     // Every set now has at least one free way: inserting any new page
     // cannot require a forced eviction.
-    EXPECT_EQ(runtime->fpga().backgroundVictims(1, nullptr, 0), 0u);
+    EXPECT_EQ(runtime->fpga().backgroundVictims(pumpFreeWays, nullptr, 0),
+              0u);
     EXPECT_GT(bg.now(), 0u);
 }
 
 TEST_F(EvictionFixture, EvictingNonResidentPagesIsANoop)
 {
     SimClock clock;
-    EXPECT_NO_THROW(handler().evictBatch(vpns(100, 104), clock));
+    EXPECT_NO_THROW(evictSync(vpns(100, 104), clock));
     EXPECT_EQ(handler().pagesEvicted(), 0u);
     EXPECT_EQ(clock.now(), 0u);
 }
@@ -246,13 +255,13 @@ TEST_F(EvictionFixture, ReEvictionAfterRedirty)
     dirtyPage(0, 1);
     runtime->hierarchy().flushAll();
     SimClock clock;
-    handler().evictBatch(vpns(0, 1), clock);
+    evictSync(vpns(0, 1), clock);
     EXPECT_EQ(handler().dirtyLinesWritten(), 1u);
 
     // Touch it again with different data; evict again.
     runtime->store<std::uint64_t>(region + 2 * cacheLineSize, 777);
     runtime->hierarchy().flushAll();
-    handler().evictBatch(vpns(0, 1), clock);
+    evictSync(vpns(0, 1), clock);
     EXPECT_EQ(handler().dirtyLinesWritten(), 2u);
     EXPECT_EQ(runtime->load<std::uint64_t>(region + 2 * cacheLineSize),
               777u);

@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "core/kona_runtime.h"
 #include "core/vm_runtime.h"
@@ -423,7 +424,7 @@ TEST(TraceSession, SpanRecordsSimTimeAndArgs)
     {
         Span s(&session, clock, "fetch", "miss");
         s.arg("addr", std::uint64_t{4096});
-        s.arg("outcome", std::string("hit"));
+        s.arg("outcome", "hit");
         clock.advance(250);
     }
     ASSERT_EQ(session.size(), 1u);
@@ -433,10 +434,10 @@ TEST(TraceSession, SpanRecordsSimTimeAndArgs)
     EXPECT_EQ(ev.ts, 500u);
     EXPECT_EQ(ev.dur, 250u);
     ASSERT_EQ(ev.args.size(), 2u);
-    EXPECT_EQ(ev.args[0].key, "addr");
-    EXPECT_EQ(ev.args[0].value, "4096");
-    EXPECT_FALSE(ev.args[0].isString);
-    EXPECT_TRUE(ev.args[1].isString);
+    EXPECT_STREQ(ev.args[0].key, "addr");
+    EXPECT_EQ(ev.args[0].number, 4096u);
+    EXPECT_EQ(ev.args[0].text, nullptr);
+    EXPECT_STREQ(ev.args[1].text, "hit");
 }
 
 TEST(TraceSession, FlightRecorderDropsOldestWhenFull)
@@ -697,11 +698,11 @@ TEST(KonaTelemetry, MissPathEmitsCompleteSpanTree)
     // Span args carry the access address and transfer size.
     bool sawAddr = false;
     for (const TraceArg &arg : miss.args)
-        sawAddr |= arg.key == "addr";
+        sawAddr |= std::string_view(arg.key) == "addr";
     EXPECT_TRUE(sawAddr);
     bool sawBytes = false;
     for (const TraceArg &arg : rdmaReads[0].args)
-        sawBytes |= arg.key == "bytes";
+        sawBytes |= std::string_view(arg.key) == "bytes";
     EXPECT_TRUE(sawBytes);
 }
 
@@ -737,7 +738,8 @@ TEST(KonaTelemetry, EvictionPathEmitsCompleteSpanTree)
     const TraceEvent *shipping = nullptr;
     for (const TraceEvent &batch : batches) {
         for (const TraceArg &arg : batch.args) {
-            if (arg.key == "dirty_pages" && arg.value != "0")
+            if (std::string_view(arg.key) == "dirty_pages" &&
+                arg.number != 0)
                 shipping = &batch;
         }
     }
