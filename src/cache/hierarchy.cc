@@ -1,5 +1,6 @@
 #include "cache/hierarchy.h"
 
+#include <bit>
 #include <cctype>
 
 #include "common/logging.h"
@@ -107,17 +108,9 @@ CacheHierarchy::propagateWriteback(std::size_t from, Addr blockAddr)
 void
 CacheHierarchy::snoopLine(Addr addr)
 {
-    snoopLineLevels(addr, ~std::uint32_t{0});
-}
-
-void
-CacheHierarchy::snoopLineLevels(Addr addr, std::uint32_t levelMask)
-{
     bool dirtyAnywhere = false;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-        if ((levelMask & (std::uint32_t{1} << i)) == 0)
-            continue;
-        auto dirty = levels_[i]->invalidateBlock(addr);
+    for (auto &level : levels_) {
+        auto dirty = level->invalidateBlock(addr);
         if (dirty.has_value() && *dirty)
             dirtyAnywhere = true;
     }
@@ -138,20 +131,17 @@ CacheHierarchy::invalidateLine(Addr addr)
 void
 CacheHierarchy::snoopPage(Addr pn)
 {
-    // Batched early-out: probe each level once for the whole page and
-    // only walk the 64 lines through levels that hold something. On
-    // the eviction path most snooped pages are long gone from the CPU
-    // caches, so this usually returns after the probe.
-    std::uint32_t levelMask = 0;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-        if (levels_[i]->holdsLineOfPage(pn))
-            levelMask |= std::uint32_t{1} << i;
-    }
-    if (levelMask == 0)
-        return;
+    std::uint64_t dirty = 0;
+    for (auto &level : levels_)
+        dirty |= level->invalidatePage(pn);
     Addr base = pn * pageSize;
-    for (unsigned line = 0; line < linesPerPage; ++line)
-        snoopLineLevels(base + line * cacheLineSize, levelMask);
+    for (; dirty != 0; dirty &= dirty - 1) {
+        memWritebacks_.add();
+        if (listener_)
+            listener_->onWriteback(
+                base + static_cast<Addr>(std::countr_zero(dirty)) *
+                           cacheLineSize);
+    }
 }
 
 void

@@ -1,5 +1,6 @@
 #include "cache/set_assoc_cache.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -13,9 +14,11 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
       misses_(scope_.counter("misses")),
       writebacks_(scope_.counter("writebacks"))
 {
-    KONA_ASSERT(config.blockSize > 0 &&
+    // A way keeps the block number shifted left by one, so blocks are
+    // at least two bytes and the number never loses its top bit.
+    KONA_ASSERT(config.blockSize > 1 &&
                     (config.blockSize & (config.blockSize - 1)) == 0,
-                "block size must be a power of two");
+                "block size must be a power of two >= 2");
     KONA_ASSERT(config.associativity > 0, "associativity must be > 0");
     KONA_ASSERT(config.sizeBytes % (config.blockSize *
                                     config.associativity) == 0,
@@ -38,10 +41,10 @@ SetAssocCache::access(Addr addr, AccessType type,
     std::size_t used = used_[s];
 
     for (std::size_t i = 0; i < used; ++i) {
-        if (set[i].tag == blockNum) {
+        if (tagOf(set[i]) == blockNum) {
             Way hit = set[i];
             if (type == AccessType::Write)
-                hit.dirty = true;
+                hit |= 1;
             for (std::size_t j = i; j > 0; --j)
                 set[j] = set[j - 1];
             set[0] = hit;
@@ -53,10 +56,11 @@ SetAssocCache::access(Addr addr, AccessType type,
 
     misses_.add();
     if (used >= config_.associativity) {
-        const Way &victim = set[config_.associativity - 1];
-        if (victim.dirty)
+        Way victim = set[config_.associativity - 1];
+        if (dirtyOf(victim))
             writebacks_.add();
-        eviction = {victim.tag * config_.blockSize, victim.dirty, true};
+        eviction = {tagOf(victim) * config_.blockSize, dirtyOf(victim),
+                    true};
         used = config_.associativity - 1;
     } else {
         eviction.valid = false;
@@ -64,7 +68,7 @@ SetAssocCache::access(Addr addr, AccessType type,
     }
     for (std::size_t j = used; j > 0; --j)
         set[j] = set[j - 1];
-    set[0] = {blockNum, type == AccessType::Write};
+    set[0] = makeWay(blockNum, type == AccessType::Write);
     return CacheOutcome::Miss;
 }
 
@@ -77,19 +81,20 @@ SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
     std::size_t used = used_[s];
 
     for (std::size_t i = 0; i < used; ++i) {
-        if (set[i].tag == blockNum) {
+        if (tagOf(set[i]) == blockNum) {
             for (std::size_t j = i; j > 0; --j)
                 set[j] = set[j - 1];
-            set[0] = {blockNum, true};
+            set[0] = makeWay(blockNum, true);
             eviction.valid = false;
             return;
         }
     }
     if (used >= config_.associativity) {
-        const Way &victim = set[config_.associativity - 1];
-        if (victim.dirty)
+        Way victim = set[config_.associativity - 1];
+        if (dirtyOf(victim))
             writebacks_.add();
-        eviction = {victim.tag * config_.blockSize, victim.dirty, true};
+        eviction = {tagOf(victim) * config_.blockSize, dirtyOf(victim),
+                    true};
         used = config_.associativity - 1;
     } else {
         eviction.valid = false;
@@ -97,7 +102,7 @@ SetAssocCache::fillDirty(Addr addr, CacheEviction &eviction)
     }
     for (std::size_t j = used; j > 0; --j)
         set[j] = set[j - 1];
-    set[0] = {blockNum, true};
+    set[0] = makeWay(blockNum, true);
 }
 
 bool
@@ -108,27 +113,8 @@ SetAssocCache::contains(Addr addr) const
     const Way *set = setBase(s);
     std::size_t used = used_[s];
     for (std::size_t i = 0; i < used; ++i) {
-        if (set[i].tag == blockNum)
+        if (tagOf(set[i]) == blockNum)
             return true;
-    }
-    return false;
-}
-
-bool
-SetAssocCache::holdsLineOfPage(Addr pn) const
-{
-    Addr firstBlock = pn * pageSize / config_.blockSize;
-    std::size_t count = config_.blockSize < pageSize
-                            ? pageSize / config_.blockSize
-                            : 1;
-    for (std::size_t k = 0; k < count; ++k) {
-        Addr blockNum = firstBlock + k;
-        const Way *set = setBase(setIndex(blockNum));
-        std::size_t used = used_[setIndex(blockNum)];
-        for (std::size_t i = 0; i < used; ++i) {
-            if (set[i].tag == blockNum)
-                return true;
-        }
     }
     return false;
 }
@@ -141,8 +127,8 @@ SetAssocCache::invalidateBlock(Addr addr)
     Way *set = setBase(s);
     std::size_t used = used_[s];
     for (std::size_t i = 0; i < used; ++i) {
-        if (set[i].tag == blockNum) {
-            bool dirty = set[i].dirty;
+        if (tagOf(set[i]) == blockNum) {
+            bool dirty = dirtyOf(set[i]);
             for (std::size_t j = i; j + 1 < used; ++j)
                 set[j] = set[j + 1];
             used_[s] = static_cast<std::uint32_t>(used - 1);
@@ -152,6 +138,45 @@ SetAssocCache::invalidateBlock(Addr addr)
     return std::nullopt;
 }
 
+std::uint64_t
+SetAssocCache::invalidatePage(Addr pn)
+{
+    KONA_ASSERT(config_.blockSize >= cacheLineSize &&
+                    config_.blockSize <= pageSize,
+                "invalidatePage needs 64B..4KB blocks (one mask bit each)");
+    Addr firstBlock = pn * pageSize / config_.blockSize;
+    Addr blocks = pageSize / config_.blockSize;
+    // The page's blocks are consecutive block numbers, so they occupy
+    // min(blocks, numSets) consecutive sets (wrapping); visit each once.
+    std::size_t sets = std::min<std::size_t>(blocks, numSets_);
+    std::uint64_t dirtyMask = 0;
+    std::size_t s = setIndex(firstBlock);
+    for (std::size_t k = 0; k < sets;
+         ++k, s = s + 1 == numSets_ ? 0 : s + 1) {
+        Way *set = setBase(s);
+        std::size_t used = used_[s];
+        // Read-only probe first: a set holding nothing of the page
+        // needs no rewrite.
+        bool held = false;
+        for (std::size_t i = 0; i < used; ++i)
+            held |= tagOf(set[i]) - firstBlock < blocks;
+        if (!held)
+            continue;
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < used; ++i) {
+            Addr block = tagOf(set[i]) - firstBlock;   // wraps below
+            if (block < blocks) {
+                if (dirtyOf(set[i]))
+                    dirtyMask |= std::uint64_t{1} << block;
+                continue;
+            }
+            set[kept++] = set[i];
+        }
+        used_[s] = static_cast<std::uint32_t>(kept);
+    }
+    return dirtyMask;
+}
+
 void
 SetAssocCache::flushAll(std::vector<CacheEviction> &evictions)
 {
@@ -159,10 +184,10 @@ SetAssocCache::flushAll(std::vector<CacheEviction> &evictions)
         const Way *set = setBase(s);
         std::size_t used = used_[s];
         for (std::size_t i = 0; i < used; ++i) {
-            if (set[i].dirty)
+            if (dirtyOf(set[i]))
                 writebacks_.add();
-            evictions.push_back({set[i].tag * config_.blockSize,
-                                 set[i].dirty, true});
+            evictions.push_back({tagOf(set[i]) * config_.blockSize,
+                                 dirtyOf(set[i]), true});
         }
         used_[s] = 0;
     }
@@ -178,9 +203,9 @@ SetAssocCache::checkInvariants() const
         const Way *set = setBase(s);
         std::unordered_set<Addr> tags;
         for (std::size_t i = 0; i < used; ++i) {
-            if (!tags.insert(set[i].tag).second)
+            if (!tags.insert(tagOf(set[i])).second)
                 return false;      // duplicate tag in a set
-            if (setIndex(set[i].tag) != s)
+            if (setIndex(tagOf(set[i])) != s)
                 return false;      // tag hashed to the wrong set
         }
     }

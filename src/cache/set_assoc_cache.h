@@ -10,8 +10,9 @@
  *    KCacheSim DRAM-cache level swept over block sizes in Fig 8d.
  *
  * Storage is a single flat array of numSets * associativity way
- * slots. Each set owns a contiguous slice; its valid ways occupy a
- * prefix of the slice in LRU order (slot 0 = MRU). With the small
+ * slots, each one word holding the block number and the dirty bit.
+ * Each set owns a contiguous slice; its valid ways occupy a prefix of
+ * the slice in LRU order (slot 0 = MRU). With the small
  * associativities we model (<= 16), a shift-down on hit beats the
  * pointer chasing of a per-set std::list, and no access ever touches
  * the heap. See DESIGN.md "Simulator performance".
@@ -83,17 +84,20 @@ class SetAssocCache
     bool contains(Addr addr) const;
 
     /**
-     * Whether any block overlapping 4KB page @p pn is cached (no side
-     * effects, no LRU update). Lets snoopPage() skip levels that hold
-     * nothing of the page.
-     */
-    bool holdsLineOfPage(Addr pn) const;
-
-    /**
      * Remove the block containing @p addr (snoop / back-invalidate).
      * @return The dirty flag if the block was present.
      */
     std::optional<bool> invalidateBlock(Addr addr);
+
+    /**
+     * Remove every block of 4KB page @p pn in one pass over the page's
+     * sets (at most 64), keeping the survivors' LRU order; the result
+     * is exactly that of invalidateBlock() on each block in turn.
+     * Requires cacheLineSize <= blockSize <= pageSize.
+     * @return Dirty mask: bit k set when block k of the page (counted
+     *         in blockSize units from the page base) was dirty.
+     */
+    std::uint64_t invalidatePage(Addr pn);
 
     /** Evict everything; victims go to @p evictions (cold path). */
     void flushAll(std::vector<CacheEviction> &evictions);
@@ -117,11 +121,17 @@ class SetAssocCache
     bool checkInvariants() const;
 
   private:
-    struct Way
+    /** One way: (block number << 1) | dirty. Eight bytes, half a
+     *  {tag, bool} pair: the default L1-L3 models' 148 K ways take
+     *  1.2 MiB per runtime, and a 16-way set spans two cache lines. */
+    using Way = std::uint64_t;
+
+    static Way makeWay(Addr blockNum, bool dirty)
     {
-        Addr tag;       ///< block number (addr / blockSize)
-        bool dirty;
-    };
+        return blockNum << 1 | static_cast<Way>(dirty);
+    }
+    static Addr tagOf(Way way) { return way >> 1; }
+    static bool dirtyOf(Way way) { return (way & 1) != 0; }
 
     std::size_t setIndex(Addr blockNum) const
     {

@@ -16,7 +16,9 @@
 namespace kona {
 
 /**
- * CRC32 (IEEE 802.3 polynomial, reflected) over @p len bytes.
+ * CRC32 (IEEE 802.3 polynomial, reflected) over @p len bytes, computed
+ * slicing-by-8 (eight bytes per step, same values as the bytewise
+ * table loop).
  * Pass a previous return value as @p seed to checksum discontiguous
  * buffers as one logical stream.
  */

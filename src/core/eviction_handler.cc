@@ -84,6 +84,7 @@ EvictionHandler::ringFor(NodeId node)
         ring.slotBytes =
             controller_.node(node).logSlotBytes(ring.slots);
         ring.owner.assign(ring.slots, 0);
+        ring.payload.resize(ring.slots);
     }
     return it->second;
 }
@@ -100,6 +101,41 @@ EvictionHandler::qpTo(NodeId node)
                  .first;
     }
     return *it->second;
+}
+
+EvictionHandler::Batch &
+EvictionHandler::newBatch(SimClock &clock, std::size_t requested)
+{
+    if (spareBatches_.empty())
+        batches_.emplace_back();
+    else
+        batches_.splice(batches_.end(), spareBatches_,
+                        spareBatches_.begin());
+    Batch &batch = batches_.back();
+    batch.id = nextBatchId_++;
+    batch.pages.clear();
+    batch.homes.clear();
+    batch.reached.clear();
+    batch.outstanding = 0;
+    batch.open = true;
+    batch.start = clock.now();
+    batch.lastDone = 0;
+    batch.requested = requested;
+    batch.lane = traceLane_;
+    return batch;
+}
+
+EvictionHandler::Shipment &
+EvictionHandler::newShipment()
+{
+    if (spareShipments_.empty()) {
+        shipments_.emplace_back(retryPolicy_, retrySeed_++);
+    } else {
+        shipments_.splice(shipments_.end(), spareShipments_,
+                          spareShipments_.begin());
+        shipments_.back() = Shipment(retryPolicy_, retrySeed_++);
+    }
+    return shipments_.back();
 }
 
 std::size_t
@@ -170,7 +206,7 @@ EvictionHandler::awaitPageIdle(Addr vpn, SimClock &clock)
         clock,
         [this, vpn](const Shipment &s) {
             auto it = inflightPage_.find(vpn);
-            return it != inflightPage_.end() && it->second == s.batchId;
+            return it != inflightPage_.end() && it->second == s.batch->id;
         },
         &conflictStalls_);
     KONA_ASSERT(!inflightPage_.contains(vpn),
@@ -204,11 +240,7 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
     for (Addr vpn : vpns)
         awaitPageIdle(vpn, clock);
 
-    std::uint64_t batchId = nextBatchId_++;
-    Batch &batch = batches_[batchId];
-    batch.start = clock.now();
-    batch.requested = vpns.size();
-    batch.lane = traceLane_;
+    Batch &batch = newBatch(clock, vpns.size());
 
     // Phase 1: snoop CPU caches and read the dirty masks. Clean pages
     // drop silently; remote memory already holds their bytes.
@@ -238,31 +270,25 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
         batch.open = false;
         batch.lastDone = clock.now();
         finalizeBatch(batch);
-        batches_.erase(batchId);
         return;
     }
 
-    // Phase 2: build one payload per destination node. The registered-
-    // buffer copy is paid once per run (or page); replicas reuse the
-    // aggregated bytes. Packing captures a snapshot: the dirty mask is
-    // cleared here and the page fenced, so a write while the log is in
-    // flight re-dirties it and finalize re-queues the page.
-    struct NodePayload
-    {
-        std::vector<std::uint8_t> log;       ///< ClLog mode
-        std::unique_ptr<ClLogWriter> writer; ///< builds + checksums log
-        std::vector<WorkRequest> chain;      ///< FullPage mode
-        std::vector<std::unique_ptr<std::vector<std::uint8_t>>>
-            pageCopies;                      ///< FullPage staging
-    };
-    std::map<NodeId, NodePayload> perNode;
+    // Phase 2: build one payload per destination node, in that node's
+    // ring.pack. The registered-buffer copy is paid once per run (or
+    // page); replicas reuse the aggregated bytes. Packing captures a
+    // snapshot: the dirty mask is cleared here and the page fenced, so
+    // a write while the log is in flight re-dirties it and finalize
+    // re-queues the page.
+    for (auto &[nodeId, ring] : rings_)
+        ring.packing = false;
+    std::size_t packedNodes = 0;
 
     Span packSpan(&trace_, clock, "pack", "evict", traceLane_);
     double copyCost = 0.0;
-    for (const PackedPage &page : batch.pages) {
+    for (PackedPage &page : batch.pages) {
         const std::uint8_t *frame = fpga_.framePointer(page.vpn);
-        auto copies = fpga_.translation().translateAll(page.vpn *
-                                                       pageSize);
+        const RemoteCopies copies =
+            fpga_.translation().translateAll(page.vpn * pageSize);
         LineRuns runs;
         std::size_t runCount = runsOf(page.mask, runs);
 
@@ -284,20 +310,25 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
                             lat.copyPerKbNs / 1024.0;
         }
 
+        page.firstHome = static_cast<std::uint32_t>(batch.homes.size());
+        page.homeCount = static_cast<std::uint32_t>(copies.size());
         for (const RemoteLocation &loc : copies) {
-            batch.homes[page.vpn].push_back(loc.node);
-            NodePayload &payload = perNode[loc.node];
+            batch.homes.push_back(loc.node);
+            NodeRing &ring = ringFor(loc.node);
+            if (!ring.packing) {
+                ring.packing = true;
+                ++packedNodes;
+                ring.pack.bytes.clear();
+                ring.pack.chain.clear();
+                // Cap the log at one ring slot so an oversized
+                // shipment is rejected at append time.
+                if (config_.mode == EvictionMode::ClLog)
+                    ring.writer.emplace(ring.pack.bytes, ring.slotBytes);
+            }
             if (config_.mode == EvictionMode::ClLog) {
-                if (!payload.writer) {
-                    // Cap the log at one ring slot so an oversized
-                    // shipment is rejected at append time.
-                    payload.writer = std::make_unique<ClLogWriter>(
-                        payload.log,
-                        ringFor(loc.node).slotBytes);
-                }
                 for (std::size_t r = 0; r < runCount; ++r) {
                     const LineRun &run = runs[r];
-                    bool fits = payload.writer->appendRun(
+                    bool fits = ring.writer->appendRun(
                         loc.addr + static_cast<Addr>(run.firstLine) *
                                        cacheLineSize,
                         frame + static_cast<std::size_t>(
@@ -306,23 +337,23 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
                     if (!fits)
                         fatal("CL log batch for node ", loc.node,
                               " exceeds its landing-area ring slot (",
-                              payload.writer->maxBytes(),
+                              ring.writer->maxBytes(),
                               " bytes at pipelineDepth ",
                               config_.pipelineDepth, ")");
                 }
             } else {
-                payload.pageCopies.push_back(
-                    std::make_unique<std::vector<std::uint8_t>>(
-                        frame, frame + pageSize));
+                // Stage a copy of the page; the WR's localBuf is bound
+                // once the staging buffer stops growing (phase 3).
+                ring.pack.bytes.insert(ring.pack.bytes.end(), frame,
+                                       frame + pageSize);
                 WorkRequest wr;
                 wr.wrId = nextWrId_++;
                 wr.opcode = RdmaOpcode::Write;
-                wr.localBuf = payload.pageCopies.back()->data();
                 wr.remoteKey = loc.regionKey;
                 wr.remoteAddr = loc.addr;
                 wr.length = pageSize;
                 wr.signaled = false;
-                payload.chain.push_back(wr);
+                ring.pack.chain.push_back(wr);
             }
         }
 
@@ -330,23 +361,25 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
         // fence keeps the frame out of victim selection until finalize.
         fpga_.clearDirty(page.vpn);
         fpga_.setEvictionInFlight(page.vpn, true);
-        inflightPage_[page.vpn] = batchId;
+        inflightPage_[page.vpn] = batch.id;
     }
     clock.advance(static_cast<Tick>(copyCost));
     breakdown_.copyNs += copyCost;
-    packSpan.arg("nodes", perNode.size());
+    packSpan.arg("nodes", packedNodes);
     packSpan.end();
 
-    // Phase 3: post one shipment per destination node into its ring
-    // slot. Only slot acquisition can block the caller (counted); the
-    // wire, unpack and ack proceed on each shipment's own timeline.
-    for (auto &[nodeId, payload] : perNode) {
+    // Phase 3: post one shipment per destination node (ascending node
+    // id) into its ring slot. Only slot acquisition can block the
+    // caller (counted); the wire, unpack and ack proceed on each
+    // shipment's own timeline.
+    for (auto &[nodeId, ring] : rings_) {
+        if (!ring.packing)
+            continue;
         if (fabric_.nodeDown(nodeId)) {
             controller_.reportOpFailure(nodeId);
             continue;
         }
 
-        NodeRing &ring = ringFor(nodeId);
         auto freeSlot = [&ring]() -> int {
             for (std::size_t i = 0; i < ring.slots; ++i) {
                 if (ring.owner[i] == 0)
@@ -359,7 +392,7 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
             // Backpressure: every slot holds an in-flight log. Fall
             // back to blocking on the oldest completion on this node.
             ringStalls_.add();
-            journal_.record(JournalKind::RingFullStall, nodeId, batchId);
+            journal_.record(JournalKind::RingFullStall, nodeId, batch.id);
             auto next = earliestDoneAt([nodeId](const Shipment &s) {
                 return s.node == nodeId;
             });
@@ -371,23 +404,21 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
             slot = freeSlot();
         }
 
-        Shipment &s =
-            shipments_.emplace_back(retryPolicy_, retrySeed_++);
+        Shipment &s = newShipment();
         s.id = nextShipmentId_++;
-        s.batchId = batchId;
+        s.batch = &batch;
         s.node = nodeId;
         s.slot = static_cast<std::size_t>(slot);
         s.clLog = config_.mode == EvictionMode::ClLog;
-        if (s.clLog) {
-            s.log = std::move(payload.log);
-        } else {
-            if (payload.chain.empty()) {
-                shipments_.pop_back();
-                continue;
-            }
+        // The slot takes the packed buffers; pack inherits the slot's
+        // previous ones (capacity kept) for the next batch.
+        SlotPayload &payload = ring.payload[s.slot];
+        std::swap(payload, ring.pack);
+        if (!s.clLog) {
+            for (std::size_t k = 0; k < payload.chain.size(); ++k)
+                payload.chain[k].localBuf =
+                    payload.bytes.data() + k * pageSize;
             payload.chain.back().signaled = true;
-            s.chain = std::move(payload.chain);
-            s.pageCopies = std::move(payload.pageCopies);
         }
         s.retry.bindTelemetry(&retries_, &retryBackoffNs_);
         ring.owner[s.slot] = s.id;
@@ -403,7 +434,6 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
     if (batch.outstanding == 0) {
         batch.lastDone = std::max(batch.lastDone, clock.now());
         finalizeBatch(batch);
-        batches_.erase(batchId);
     }
 }
 
@@ -412,6 +442,7 @@ EvictionHandler::postShipment(Shipment &s)
 {
     NodeRing &ring = ringFor(s.node);
     MemoryNode &node = controller_.node(s.node);
+    SlotPayload &payload = ring.payload[s.slot];
     // One link per node: a shipment's wire time starts only when the
     // previous transfer to that node has left the NIC.
     const Tick parked = s.timeline.now();
@@ -423,19 +454,17 @@ EvictionHandler::postShipment(Shipment &s)
         WorkRequest wr;
         wr.wrId = nextWrId_++;
         wr.opcode = RdmaOpcode::Write;
-        wr.localBuf = s.log.data();
+        wr.localBuf = payload.bytes.data();
         wr.remoteKey = node.logRegion().key;
         wr.remoteAddr = node.logRegion().base +
                         static_cast<Addr>(s.slot) * ring.slotBytes;
-        wr.length = s.log.size();
-        wrOwner_[wr.wrId] = &s;
+        wr.length = payload.bytes.size();
+        s.wrId = wr.wrId;
         PostResult posted = qpTo(s.node).post(wr, s.timeline);
         KONA_ASSERT(posted.cqesPushed == 1,
                     "eviction post must push exactly one CQE");
     } else {
-        for (const WorkRequest &wr : s.chain)
-            wrOwner_[wr.wrId] = &s;
-        PostResult posted = qpTo(s.node).postLinked(s.chain,
+        PostResult posted = qpTo(s.node).postLinked(payload.chain,
                                                     s.timeline);
         KONA_ASSERT(posted.cqesPushed == 1,
                     "eviction doorbell must push exactly one CQE");
@@ -452,15 +481,26 @@ EvictionHandler::reapCq()
 void
 EvictionHandler::handleCompletion(const WorkCompletion &wc)
 {
-    auto owner = wrOwner_.find(wc.wrId);
-    KONA_ASSERT(owner != wrOwner_.end(),
+    // Every live shipment has exactly one send outstanding; find the
+    // one whose WR (ClLog) or doorbell chain (FullPage) this CQE ends.
+    auto owner = std::find_if(
+        shipments_.begin(), shipments_.end(), [&](const Shipment &s) {
+            if (s.acked)
+                return false;
+            if (s.clLog)
+                return s.wrId == wc.wrId;
+            return std::ranges::any_of(
+                ringFor(s.node).payload[s.slot].chain,
+                [&](const WorkRequest &wr) { return wr.wrId == wc.wrId; });
+        });
+    KONA_ASSERT(owner != shipments_.end(),
                 "eviction CQE for unknown work request ", wc.wrId);
-    Shipment &s = *owner->second;
-    wrOwner_.erase(owner);
+    Shipment &s = *owner;
 
     const LatencyConfig &lat = fpga_.latency();
     NodeRing &ring = ringFor(s.node);
-    std::uint32_t lane = batches_.at(s.batchId).lane;
+    SlotPayload &payload = ring.payload[s.slot];
+    std::uint32_t lane = s.batch->lane;
     poller_.complete(wc, s.timeline);
     ring.wireFreeAt = std::max(ring.wireFreeAt, wc.completeAt);
     breakdown_.rdmaNs +=
@@ -491,8 +531,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     // a latency sample and could not reach Suspect.
     controller_.observeFetch(s.node, wc.completeAt - s.wireStart);
 
-    std::size_t bytes =
-        s.clLog ? s.log.size() : s.chain.size() * pageSize;
+    std::size_t bytes = payload.bytes.size();
     if (tracing()) {
         record("wire", s.wireStart, s.timeline.now() - s.wireStart,
                lane,
@@ -514,7 +553,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     const Tick recvWaitStart = s.timeline.now();
     Tick unpackStart = std::max(s.timeline.now(), ring.recvFreeAt);
     LogReceiptStats receipt = node.receiveLog(
-        static_cast<Addr>(s.slot) * ring.slotBytes, s.log.size());
+        static_cast<Addr>(s.slot) * ring.slotBytes, bytes);
     Tick unpackDur = static_cast<Tick>(receipt.unpackNs);
     ring.recvFreeAt = unpackStart + unpackDur;
     s.timeline.advanceTo(ring.recvFreeAt);
@@ -533,7 +572,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
         record("ack", ackStart, s.timeline.now() - ackStart, lane,
                {{"node", s.node}});
     }
-    wireBytes_.add(s.log.size());
+    wireBytes_.add(bytes);
     if (!receipt.ok) {
         naks_.add();
         controller_.observeNak(s.node);
@@ -561,7 +600,7 @@ EvictionHandler::settleShipment(Shipment &s, bool succeeded)
     shipAttr_.record(s.doneAt - s.attrStart, s.comp.data(),
                      EvictComponent::Other);
     if (!succeeded)
-        journal_.record(JournalKind::RetriesExhausted, s.node, s.batchId,
+        journal_.record(JournalKind::RetriesExhausted, s.node, s.batch->id,
                         s.sends);
 }
 
@@ -577,23 +616,18 @@ EvictionHandler::finalizeDue(Tick now)
         NodeRing &ring = ringFor(s.node);
         if (ring.owner[s.slot] == s.id)
             ring.owner[s.slot] = 0;
-        // Unsignaled chain WRs never produce CQEs; purge their
-        // ownership entries before the shipment dies.
-        for (const WorkRequest &wr : s.chain)
-            wrOwner_.erase(wr.wrId);
-        Batch &batch = batches_.at(s.batchId);
+        Batch &batch = *s.batch;
         if (s.succeeded)
             batch.reached.push_back(s.node);
         batch.lastDone = std::max(batch.lastDone, s.doneAt);
         --batch.outstanding;
         bool batchDone = batch.outstanding == 0 && !batch.open;
-        std::uint64_t batchId = s.batchId;
-        it = shipments_.erase(it);
+        auto next = std::next(it);
+        spareShipments_.splice(spareShipments_.begin(), shipments_, it);
+        it = next;
         inflight_.set(static_cast<double>(shipments_.size()));
-        if (batchDone) {
-            finalizeBatch(batches_.at(batchId));
-            batches_.erase(batchId);
-        }
+        if (batchDone)
+            finalizeBatch(batch);
     }
 }
 
@@ -607,7 +641,8 @@ EvictionHandler::finalizeBatch(Batch &batch)
         fpga_.setEvictionInFlight(page.vpn, false);
         inflightPage_.erase(page.vpn);
         bool safe = false;
-        for (NodeId home : batch.homes[page.vpn]) {
+        for (NodeId home : std::span(batch.homes).subspan(
+                 page.firstHome, page.homeCount)) {
             bool reached = false;
             for (NodeId ok : batch.reached)
                 reached |= home == ok;
@@ -655,6 +690,9 @@ EvictionHandler::finalizeBatch(Batch &batch)
                {{"pages", batch.requested},
                 {"dirty_pages", batch.pages.size()}});
     }
+    auto done = std::find_if(batches_.begin(), batches_.end(),
+                             [&](const Batch &b) { return &b == &batch; });
+    spareBatches_.splice(spareBatches_.begin(), batches_, done);
 }
 
 void

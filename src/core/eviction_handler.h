@@ -33,6 +33,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <set>
 #include <span>
@@ -41,6 +42,7 @@
 
 #include "fpga/coherent_fpga.h"
 #include "net/retry_policy.h"
+#include "rack/cl_log.h"
 #include "rack/controller.h"
 #include "telemetry/attribution.h"
 #include "telemetry/event_journal.h"
@@ -222,13 +224,16 @@ class EvictionHandler
     {
         Addr vpn;
         std::uint64_t mask;   ///< dirty mask captured (and cleared) at pack
+        std::uint32_t firstHome = 0;   ///< this page's run in Batch::homes
+        std::uint32_t homeCount = 0;
     };
 
     /** An in-flight batch: pages + the shipments carrying them. */
     struct Batch
     {
+        std::uint64_t id = 0;
         std::vector<PackedPage> pages;
-        std::map<Addr, std::vector<NodeId>> homes;
+        std::vector<NodeId> homes;     ///< every page's copies, flat
         std::vector<NodeId> reached;   ///< nodes whose shipment landed
         std::size_t outstanding = 0;   ///< unfinalized shipments
         bool open = true;              ///< submit() still posting
@@ -238,7 +243,8 @@ class EvictionHandler
         std::uint32_t lane = traceAppThread;
     };
 
-    /** One payload on the wire to one node (one ring slot). */
+    /** One payload on the wire to one node (one ring slot). Its bytes
+     *  and doorbell chain live in that slot's SlotPayload. */
     struct Shipment
     {
         Shipment(const RetryPolicy &policy, std::uint64_t seed)
@@ -246,14 +252,11 @@ class EvictionHandler
         {}
 
         std::uint64_t id = 0;
-        std::uint64_t batchId = 0;
+        Batch *batch = nullptr;
         NodeId node = 0;
         std::size_t slot = 0;
         bool clLog = true;
-        std::vector<std::uint8_t> log;        ///< ClLog payload
-        std::vector<WorkRequest> chain;       ///< FullPage doorbell
-        std::vector<std::unique_ptr<std::vector<std::uint8_t>>>
-            pageCopies;                       ///< FullPage staging
+        std::uint64_t wrId = 0;   ///< ClLog: the current send's WR
         SimClock timeline;    ///< this shipment's logical thread
         RetryState retry;
         std::uint64_t sends = 0;
@@ -267,12 +270,30 @@ class EvictionHandler
         bool succeeded = false;
     };
 
-    /** Per-node landing-area ring + serialization points. */
+    /** What one shipment carries to one node. */
+    struct SlotPayload
+    {
+        /** ClLog: the serialized log. FullPage: the page copies, back
+         *  to back, that the chain's WRs point into. */
+        std::vector<std::uint8_t> bytes;
+        std::vector<WorkRequest> chain;   ///< FullPage doorbell
+    };
+
+    /**
+     * Per-node landing-area ring + serialization points. Buffers are
+     * reused, never freed: submit() packs into `pack`, then swaps it
+     * with the payload of the ring slot the shipment takes, so the
+     * steady state allocates nothing.
+     */
     struct NodeRing
     {
         std::size_t slots = 1;
         std::size_t slotBytes = 0;
         std::vector<std::uint64_t> owner;   ///< shipment id, 0 = free
+        std::vector<SlotPayload> payload;   ///< one per slot
+        SlotPayload pack;                   ///< the batch being packed
+        std::optional<ClLogWriter> writer;  ///< builds pack.bytes
+        bool packing = false;               ///< this batch targets node
         Tick wireFreeAt = 0;   ///< the node's link frees up
         Tick recvFreeAt = 0;   ///< the node's receiver thread frees up
     };
@@ -282,6 +303,12 @@ class EvictionHandler
 
     /** Largest batch whose worst-case log fits every node's ring slot. */
     std::size_t batchPageLimit() const;
+
+    /** Start a batch, reusing a retired one's buffers. */
+    Batch &newBatch(SimClock &clock, std::size_t requested);
+
+    /** Start a shipment, reusing a retired one's list node. */
+    Shipment &newShipment();
 
     /** Post (or re-post) @p s's payload on its own timeline. */
     void postShipment(Shipment &s);
@@ -350,10 +377,17 @@ class EvictionHandler
     std::map<NodeId, std::unique_ptr<QueuePair>> qps_;
     std::map<NodeId, NodeRing> rings_;
 
+    /** Live shipments in posting order; retired ones wait in
+     *  spareShipments_ (as do batches) so their nodes are reused. */
     std::list<Shipment> shipments_;
-    std::unordered_map<std::uint64_t, Shipment *> wrOwner_;
-    std::map<std::uint64_t, Batch> batches_;
-    std::unordered_map<Addr, std::uint64_t> inflightPage_;
+    std::list<Shipment> spareShipments_;
+    std::list<Batch> batches_;
+    std::list<Batch> spareBatches_;
+    /** Batch id of every packed, unfinalized page. Its nodes come from
+     *  a pool that recycles erased ones, so packing stays off the heap. */
+    std::pmr::unsynchronized_pool_resource inflightPool_;
+    std::pmr::unordered_map<Addr, std::uint64_t> inflightPage_{
+        &inflightPool_};
     std::set<Addr> requeue_;   ///< re-dirtied while in flight
 
     /** pump() scratch, reused so the steady state never allocates. */

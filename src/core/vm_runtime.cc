@@ -12,7 +12,7 @@ VmRuntime::VmRuntime(Fabric &fabric, Controller &controller,
       computeNode_(computeNode), config_(config),
       scope_(std::move(scope)),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
-      cmem_(config.windowBase + config.windowSize),
+      cmem_(config.windowSize),
       windowCursor_(config.windowBase), poller_(fabric.latency()),
       rdmaBuffer_(pageSize),
       reads_(scope_.counter("reads")),
@@ -211,7 +211,7 @@ VmRuntime::majorFault(Addr vpn)
         }
         retry.backoff(appClock_);
     }
-    cmem_.write(vpn * pageSize, rdmaBuffer_.data(), pageSize);
+    cmem_.write(cmemOffset(vpn * pageSize), rdmaBuffer_.data(), pageSize);
 
     // Install the translation; with dirty tracking enabled the page
     // comes up write-protected so the first store minor-faults.
@@ -345,7 +345,7 @@ VmRuntime::evictOne()
     appClock_.advance(static_cast<Tick>(lat.tlbShootdownNs +
                                         lat.pteUpdateNs));
 
-    cmem_.dropPage(vpn * pageSize);
+    cmem_.dropPage(cmemOffset(vpn * pageSize));
     pagesEvicted_.add();
 }
 
@@ -365,7 +365,7 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
     clock.advance(static_cast<Tick>(
         lat.copySetupNs +
         static_cast<double>(pageSize) * lat.copyPerKbNs / 1024.0));
-    cmem_.read(vpn * pageSize, rdmaBuffer_.data(), pageSize);
+    cmem_.read(cmemOffset(vpn * pageSize), rdmaBuffer_.data(), pageSize);
 
     // Write to every reachable copy; if the whole placement is
     // misbehaving, back off and retry rather than dying on a transient
@@ -433,7 +433,7 @@ VmRuntime::read(Addr addr, void *buf, std::size_t size)
         }
     }
 
-    cmem_.read(addr, buf, size);
+    cmem_.read(cmemOffset(addr), buf, size);
     reads_.add();
     bytesRead_.add(size);
     if (sampler_ != nullptr)
@@ -460,7 +460,7 @@ VmRuntime::write(Addr addr, const void *buf, std::size_t size)
         }
     }
 
-    cmem_.write(addr, buf, size);
+    cmem_.write(cmemOffset(addr), buf, size);
     writes_.add();
     bytesWritten_.add(size);
     if (sampler_ != nullptr)

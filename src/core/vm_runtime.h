@@ -137,6 +137,9 @@ class VmRuntime : public RemoteMemoryRuntime
 
     QueuePair &qpTo(NodeId node);
 
+    /** CMem holds the window only, addressed by offset from its base. */
+    Addr cmemOffset(Addr vaddr) const { return vaddr - config_.windowBase; }
+
     Fabric &fabric_;
     Controller &controller_;
     NodeId computeNode_;
@@ -147,7 +150,7 @@ class VmRuntime : public RemoteMemoryRuntime
     CacheHierarchy hierarchy_;
     PageTable pageTable_;
     Tlb tlb_;
-    BackingStore cmem_;            ///< local DRAM cache (by vaddr)
+    BackingStore cmem_;            ///< local DRAM cache (by cmemOffset)
     RemoteTranslation translation_;
 
     std::unique_ptr<RegionAllocator> heap_;

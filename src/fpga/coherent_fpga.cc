@@ -202,24 +202,26 @@ CoherentFpga::homeStale(Addr vpn, NodeId node) const
     return it != staleHomes_.end() && it->second.count(node) > 0;
 }
 
-std::vector<std::size_t>
-CoherentFpga::fetchOrder(
-    const std::vector<RemoteLocation> &locations) const
+void
+CoherentFpga::fetchOrder(const RemoteCopies &copies,
+                         FetchOrder &order) const
 {
-    std::vector<std::size_t> order(locations.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    if (!membershipProbe_)
-        return order;
     // Stable partition: preferred nodes first, original order within
     // each class (so the primary still leads among healthy copies and
-    // promotion logic keyed on original indices stays meaningful).
-    std::stable_partition(order.begin(), order.end(),
-                          [this, &locations](std::size_t i) {
-                              return !membershipProbe_(
-                                  locations[i].node);
-                          });
-    return order;
+    // promotion logic keyed on original indices stays meaningful). The
+    // probe is asked once per copy, before any fetch reports health.
+    std::uint64_t avoid = 0;
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+        if (membershipProbe_ && membershipProbe_(copies[i].node))
+            avoid |= std::uint64_t{1} << i;
+    }
+    std::size_t n = 0;
+    for (std::uint64_t pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < copies.size(); ++i) {
+            if (((avoid >> i) & 1u) == pass)
+                order[n++] = i;
+        }
+    }
 }
 
 bool
@@ -252,11 +254,12 @@ CoherentFpga::fetchPage(Addr vpn, SimClock &clock, FetchIntent intent,
     // promotes, warns, or retries — but it does report failures (gray
     // nodes must accumulate evidence even off the critical path) and
     // falls back to a replica instead of giving up.
-    auto locations = translation_.translateAll(vfmemAddr);
-    std::vector<std::size_t> order = fetchOrder(locations);
+    const RemoteCopies locations = translation_.translateAll(vfmemAddr);
+    FetchOrder order;
+    fetchOrder(locations, order);
     bool fetched = false;
     std::size_t servedBy = 0;   ///< original index of the copy served
-    for (std::size_t k = 0; k < order.size(); ++k) {
+    for (std::size_t k = 0; k < locations.size(); ++k) {
         std::size_t i = order[k];
         const RemoteLocation &loc = locations[i];
         if (homeStale(vpn, loc.node)) {
@@ -525,7 +528,8 @@ CoherentFpga::framePointer(Addr vpn)
     auto frame = fmem_.frameOf(vpn);
     KONA_ASSERT(frame.has_value(), "framePointer of non-resident page ",
                 vpn);
-    return fmemStore_.pagePointer(static_cast<Addr>(*frame) * pageSize);
+    return fmemStore_.bytes(static_cast<Addr>(*frame) * pageSize, pageSize)
+        .data();
 }
 
 } // namespace kona

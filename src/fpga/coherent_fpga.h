@@ -24,6 +24,7 @@
 #ifndef KONA_FPGA_COHERENT_FPGA_H
 #define KONA_FPGA_COHERENT_FPGA_H
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -448,10 +449,13 @@ class CoherentFpga : public MemorySideListener
 
     void reportHealth(NodeId node, bool ok, Tick latencyNs = 0);
 
+    /** Indices into a RemoteCopies, in fetch order. */
+    using FetchOrder = std::array<std::size_t, maxSlabCopies>;
+
     /** Candidate iteration order: healthy locations first (stable), so
-     *  reads hedge away from Suspect/Quarantined/Joining primaries. */
-    std::vector<std::size_t>
-    fetchOrder(const std::vector<RemoteLocation> &locations) const;
+     *  reads hedge away from Suspect/Quarantined/Joining primaries.
+     *  Fills the first copies.size() entries of @p order. */
+    void fetchOrder(const RemoteCopies &copies, FetchOrder &order) const;
 
     Fabric &fabric_;
     NodeId computeNode_;

@@ -10,6 +10,7 @@
 #ifndef KONA_FPGA_REMOTE_TRANSLATION_H
 #define KONA_FPGA_REMOTE_TRANSLATION_H
 
+#include <array>
 #include <functional>
 #include <map>
 #include <vector>
@@ -26,6 +27,37 @@ struct RemoteLocation
     NodeId node = 0;
     Addr addr = 0;              ///< absolute address on the node
     std::uint32_t regionKey = 0;
+};
+
+/** Most copies (primary + replicas) one slab may have. */
+inline constexpr std::size_t maxSlabCopies = 8;
+
+/**
+ * Every copy of one VFMem address, primary first: a fixed-capacity
+ * snapshot, so translating on the fetch and eviction paths never
+ * touches the heap and stays valid while the placement is rewritten.
+ */
+class RemoteCopies
+{
+  public:
+    void
+    push_back(const RemoteLocation &loc)
+    {
+        KONA_ASSERT(count_ < copies_.size(), "too many slab copies");
+        copies_[count_++] = loc;
+    }
+
+    std::size_t size() const { return count_; }
+    const RemoteLocation &operator[](std::size_t i) const
+    {
+        return copies_[i];
+    }
+    const RemoteLocation *begin() const { return copies_.data(); }
+    const RemoteLocation *end() const { return copies_.data() + count_; }
+
+  private:
+    std::array<RemoteLocation, maxSlabCopies> copies_{};
+    std::size_t count_ = 0;
 };
 
 /** One VFMem slab's remote placement: primary plus optional replicas. */
@@ -52,6 +84,8 @@ class RemoteTranslation
             std::vector<SlabGrant> replicas = {}, bool shared = false)
     {
         KONA_ASSERT(primary.size > 0, "empty slab grant");
+        KONA_ASSERT(replicas.size() < maxSlabCopies,
+                    "a slab holds at most ", maxSlabCopies, " copies");
         for (const SlabGrant &r : replicas) {
             KONA_ASSERT(r.size == primary.size,
                         "replica size mismatch");
@@ -89,12 +123,12 @@ class RemoteTranslation
     }
 
     /** Translate to every copy: primary first, then replicas. */
-    std::vector<RemoteLocation>
+    RemoteCopies
     translateAll(Addr vfmemAddr) const
     {
         const auto &[base, slab] = slabAt(vfmemAddr);
         Addr delta = vfmemAddr - base;
-        std::vector<RemoteLocation> out;
+        RemoteCopies out;
         out.push_back({slab.primary.where.node,
                        slab.primary.where.offset + delta,
                        slab.primary.regionKey});

@@ -11,7 +11,9 @@
  * deltas on every mutation) so totalDirtyLines()/totalDirtyBytes() —
  * called on the eviction path and by telemetry export — are O(1); and
  * a one-entry memo of the last page touched short-circuits the hash
- * probe for the common run of writebacks landing in one page.
+ * probe for the common run of writebacks landing in one page. Map
+ * nodes come from a pool that recycles the nodes of cleaned pages, so
+ * dirtying a page does not reach the heap in steady state.
  */
 
 #ifndef KONA_MEM_DIRTY_BITMAP_H
@@ -19,6 +21,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "common/types.h"
@@ -141,7 +144,7 @@ class DirtyLineBitmap
 
     std::size_t dirtyPages() const { return masks_.size(); }
 
-    const std::unordered_map<Addr, std::uint64_t> &pages() const
+    const std::pmr::unordered_map<Addr, std::uint64_t> &pages() const
     {
         return masks_;
     }
@@ -162,7 +165,8 @@ class DirtyLineBitmap
         return memoMask_;
     }
 
-    std::unordered_map<Addr, std::uint64_t> masks_;
+    std::pmr::unsynchronized_pool_resource pool_;
+    std::pmr::unordered_map<Addr, std::uint64_t> masks_{&pool_};
     std::uint64_t dirtyLineCount_ = 0;
     Addr memoPn_ = invalidAddr;
     std::uint64_t *memoMask_ = nullptr;

@@ -8,9 +8,12 @@ namespace kona {
 WorkCompletion
 CompletionQueue::pop()
 {
-    KONA_ASSERT(!entries_.empty(), "pop from empty CQ");
-    WorkCompletion wc = entries_.front();
-    entries_.pop_front();
+    KONA_ASSERT(!empty(), "pop from empty CQ");
+    WorkCompletion wc = entries_[head_++];
+    if (empty()) {
+        entries_.clear();
+        head_ = 0;
+    }
     return wc;
 }
 

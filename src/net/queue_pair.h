@@ -14,7 +14,6 @@
 #define KONA_NET_QUEUE_PAIR_H
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -81,20 +80,26 @@ struct PostResult
     explicit operator bool() const { return ok(); }
 };
 
-/** Completion queue: CQEs in completion order. */
+/**
+ * Completion queue: CQEs in completion order. A FIFO in one vector:
+ * popped entries stay behind head_ until the queue drains, which every
+ * poster does right after posting, and the storage is then reused, so
+ * steady-state traffic never allocates.
+ */
 class CompletionQueue
 {
   public:
     void push(const WorkCompletion &wc) { entries_.push_back(wc); }
 
-    bool empty() const { return entries_.empty(); }
-    std::size_t depth() const { return entries_.size(); }
+    bool empty() const { return head_ == entries_.size(); }
+    std::size_t depth() const { return entries_.size() - head_; }
 
     /** Pop the oldest CQE; caller checks empty() first. */
     WorkCompletion pop();
 
   private:
-    std::deque<WorkCompletion> entries_;
+    std::vector<WorkCompletion> entries_;
+    std::size_t head_ = 0;
 };
 
 /**

@@ -30,7 +30,7 @@ saturatingTicks(double ns)
 Tick
 RetryState::backoff(SimClock &clock)
 {
-    double jitter = 1.0 + policy_.jitterFraction * rng_.uniform();
+    double jitter = 1.0 + policy_->jitterFraction * rng_.uniform();
     Tick charged = saturatingTicks(
         static_cast<double>(nextBackoffNs_) * jitter);
     clock.advance(charged);
@@ -44,10 +44,10 @@ RetryState::backoff(SimClock &clock)
         backoffHist_->record(static_cast<double>(charged));
 
     double grown = static_cast<double>(nextBackoffNs_) *
-                   policy_.backoffMultiplier;
+                   policy_->backoffMultiplier;
     nextBackoffNs_ = saturatingTicks(grown);
-    if (nextBackoffNs_ > policy_.maxBackoffNs)
-        nextBackoffNs_ = policy_.maxBackoffNs;
+    if (nextBackoffNs_ > policy_->maxBackoffNs)
+        nextBackoffNs_ = policy_->maxBackoffNs;
     return charged;
 }
 

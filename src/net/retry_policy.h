@@ -44,7 +44,7 @@ class RetryState
 {
   public:
     RetryState(const RetryPolicy &policy, std::uint64_t seed)
-        : policy_(policy), rng_(seed), nextBackoffNs_(
+        : policy_(&policy), rng_(seed), nextBackoffNs_(
               policy.initialBackoffNs)
     {}
 
@@ -52,9 +52,9 @@ class RetryState
     bool
     shouldRetry() const
     {
-        if (attempts_ >= policy_.maxAttempts)
+        if (attempts_ >= policy_->maxAttempts)
             return false;
-        if (policy_.deadlineNs != 0 && spentNs_ >= policy_.deadlineNs)
+        if (policy_->deadlineNs != 0 && spentNs_ >= policy_->deadlineNs)
             return false;
         return true;
     }
@@ -78,7 +78,7 @@ class RetryState
     Tick spentNs() const { return spentNs_; }
 
   private:
-    const RetryPolicy &policy_;
+    const RetryPolicy *policy_;   ///< must outlive the state
     Rng rng_;
     Tick nextBackoffNs_;
     std::size_t attempts_ = 0;

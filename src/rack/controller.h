@@ -19,6 +19,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -156,8 +157,9 @@ class Controller
     /** The registered memory node @p id (fatal if unknown). */
     MemoryNode &node(NodeId id) const;
 
-    /** Ids of every registered node (any health), unordered. */
-    std::vector<NodeId> nodeIds() const;
+    /** Ids of every registered node (any health), unordered: a view
+     *  over the registry, so iterating it never allocates. */
+    auto nodeIds() const { return std::views::keys(nodes_); }
 
     std::size_t slabSize() const { return slabSize_; }
     std::size_t nodeCount() const { return nodes_.size(); }

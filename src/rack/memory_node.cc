@@ -36,13 +36,14 @@ MemoryNode::freeSlab(Addr addr)
 LogReceiptStats
 MemoryNode::receiveLog(Addr logOffset, std::size_t logBytes)
 {
-    KONA_ASSERT(logOffset + logBytes <= logRegion_.length,
+    KONA_ASSERT(logBytes <= logRegion_.length &&
+                    logOffset <= logRegion_.length - logBytes,
                 "log outside the landing area");
     LogReceiptStats stats;
 
-    // Pull the serialized log out of the landing area, then distribute.
-    std::vector<std::uint8_t> log(logBytes);
-    store_->read(logRegion_.base + logOffset, log.data(), logBytes);
+    // Verify and distribute straight out of the landing area.
+    std::span<const std::uint8_t> log =
+        store_->bytes(logRegion_.base + logOffset, logBytes);
 
     const LatencyConfig &lat = fabric_.latency();
     stats.unpackNs += lat.logCrcPerKbNs *

@@ -306,7 +306,7 @@ compareMetrics(const std::map<std::string, double> &baseline,
         CompareFinding f;
         f.key = key;
         f.baseline = baseValue;
-        f.rule = rule;
+        f.rule = *rule;
         auto it = current.find(key);
         if (it == current.end()) {
             f.status = CompareStatus::Missing;
@@ -337,7 +337,7 @@ compareMetrics(const std::map<std::string, double> &baseline,
         CompareFinding f;
         f.key = key;
         f.current = value;
-        f.rule = rule;
+        f.rule = *rule;
         f.status = CompareStatus::Missing;
         ++report.failed;
         report.findings.push_back(std::move(f));
@@ -364,11 +364,8 @@ printCompareReport(std::ostream &os, const CompareReport &report,
             std::snprintf(delta, sizeof(delta), "%+.1f%%",
                           f.relDelta * 100.0);
             os << " (" << delta << ", "
-               << directionName(f.rule != nullptr
-                                    ? f.rule->direction
-                                    : CompareDirection::Band)
-               << " tol "
-               << (f.rule != nullptr ? f.rule->failTol : 0.0) << ")";
+               << directionName(f.rule.direction) << " tol "
+               << f.rule.failTol << ")";
         }
         os << "\n";
     }

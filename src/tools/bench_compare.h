@@ -92,7 +92,9 @@ struct CompareFinding
     double current = 0.0;
     double relDelta = 0.0; ///< (current - baseline) / |baseline|
     CompareStatus status = CompareStatus::Pass;
-    const CompareRule *rule = nullptr;
+    /** The rule that gated this key: a copy, so a report stays valid
+     *  after the rules it was computed from are gone. */
+    CompareRule rule;
 };
 
 /** Everything one comparison produced. */

@@ -8,7 +8,8 @@
  * both through long randomized traces, asserting that every
  * observable — hit/miss outcomes, victim sequences, writeback counts,
  * flush/invalidate results, frame placement, dirty-line totals —
- * matches the historical behaviour exactly.
+ * matches the historical behaviour exactly. The one-pass page snoop is
+ * held to the line-by-line walk it replaced the same way.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/hierarchy.h"
 #include "cache/set_assoc_cache.h"
 #include "common/rng.h"
 #include "fpga/fmem_cache.h"
@@ -231,18 +233,19 @@ TEST_P(CacheDifferential, MatchesLegacyListImplementation)
             ASSERT_EQ(cache.contains(addr), ref.contains(addr))
                 << "contains #" << i;
         } else if (dice < 0.98) {
-            // holdsLineOfPage must agree with a per-line contains scan
-            // over the reference model.
+            // invalidatePage must equal invalidateBlock on each block
+            // of the page in ascending order.
             Addr pn = addr / pageSize;
-            bool expected = false;
-            std::size_t blocks = cfg.blockSize < pageSize
-                                     ? pageSize / cfg.blockSize
-                                     : 1;
-            for (std::size_t b = 0; b < blocks && !expected; ++b)
-                expected = ref.contains(pn * pageSize +
-                                        b * cfg.blockSize);
-            ASSERT_EQ(cache.holdsLineOfPage(pn), expected)
-                << "probe #" << i;
+            std::uint64_t expected = 0;
+            std::size_t blocks = pageSize / cfg.blockSize;
+            for (std::size_t b = 0; b < blocks; ++b) {
+                auto dirty = ref.invalidateBlock(pn * pageSize +
+                                                 b * cfg.blockSize);
+                if (dirty.value_or(false))
+                    expected |= std::uint64_t{1} << b;
+            }
+            ASSERT_EQ(cache.invalidatePage(pn), expected)
+                << "page invalidate #" << i;
         } else {
             std::vector<CacheEviction> flushed;
             cache.flushAll(flushed);
@@ -269,6 +272,72 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffGeometry{64, 16, 64},
                       DiffGeometry{8, 4, 4096},
                       DiffGeometry{2, 4, 1024}));
+
+// ---------------------------------------------------------------------
+// Fused page snoop against the line-by-line walk it replaced.
+// ---------------------------------------------------------------------
+
+/** Records the ordered writeback stream a hierarchy emits. */
+struct WritebackLog : MemorySideListener
+{
+    void onLineRequest(Addr, AccessType) override {}
+    void onWriteback(Addr lineAddr) override { lines.push_back(lineAddr); }
+
+    std::vector<Addr> lines;
+};
+
+class SnoopDifferential : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SnoopDifferential, SnoopPageMatchesPerLineSnoop)
+{
+    // Small levels (4 to 16 sets, fewer than a page's 64 lines), so a
+    // page's lines share sets with each other and with other pages.
+    HierarchyConfig cfg;
+    cfg.levels = {{"L1d", 1 * KiB, 4, cacheLineSize},
+                  {"L2", 4 * KiB, 8, cacheLineSize},
+                  {"L3", 16 * KiB, 16, cacheLineSize}};
+    CacheHierarchy fused(cfg), perLine(cfg);
+    WritebackLog fusedLog, perLineLog;
+    fused.setListener(&fusedLog);
+    perLine.setListener(&perLineLog);
+
+    Rng rng(GetParam());
+    const Addr pages = 24;   // hot pages, 96 KiB > the whole hierarchy
+    for (int i = 0; i < 20000; ++i) {
+        Addr pn = rng.below(pages);
+        if (rng.chance(0.97)) {
+            Addr addr = pn * pageSize + rng.below(pageSize);
+            auto type = rng.chance(0.4) ? AccessType::Write
+                                        : AccessType::Read;
+            fused.access(addr, 8, type);
+            perLine.access(addr, 8, type);
+            continue;
+        }
+        fused.snoopPage(pn);
+        for (std::size_t line = 0; line < linesPerPage; ++line)
+            perLine.snoopLine(pn * pageSize + line * cacheLineSize);
+        ASSERT_EQ(fusedLog.lines, perLineLog.lines) << "snoop #" << i;
+        ASSERT_EQ(fused.memoryWritebacks(), perLine.memoryWritebacks());
+        for (std::size_t l = 0; l < fused.numLevels(); ++l) {
+            for (Addr a = 0; a < pages * pageSize; a += cacheLineSize) {
+                ASSERT_EQ(fused.level(l).contains(a),
+                          perLine.level(l).contains(a))
+                    << "level " << l << " line " << a << " snoop #" << i;
+            }
+        }
+    }
+    // Equal flush streams: the surviving lines' dirty bits agree too.
+    fused.flushAll();
+    perLine.flushAll();
+    EXPECT_EQ(fusedLog.lines, perLineLog.lines);
+    EXPECT_EQ(fused.memoryWritebacks(), perLine.memoryWritebacks());
+    EXPECT_GT(fused.memoryWritebacks(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnoopDifferential,
+                         ::testing::Values(1u, 7u, 611u, 0x5eedu));
 
 // ---------------------------------------------------------------------
 // Legacy list-based FMemCache reference (per-set std::list plus

@@ -121,22 +121,35 @@ TEST(SetAssocCache, LargeBlockGeometry)
               CacheOutcome::Miss);
 }
 
-TEST(SetAssocCache, HoldsLineOfPageProbe)
+TEST(SetAssocCache, InvalidatePageReturnsDirtyMask)
 {
     // Full-size L2-like geometry: 1024 sets, so page 7's 64 lines map
     // to 64 distinct sets.
     SetAssocCache cache(tinyCache(1024, 16));
     CacheEviction ev;
-    EXPECT_FALSE(cache.holdsLineOfPage(7));
-    cache.access(7 * pageSize + 9 * cacheLineSize, AccessType::Read,
-                 ev);
-    EXPECT_TRUE(cache.holdsLineOfPage(7));
-    EXPECT_FALSE(cache.holdsLineOfPage(6));
-    EXPECT_FALSE(cache.holdsLineOfPage(8));
-    cache.invalidateBlock(7 * pageSize + 9 * cacheLineSize);
-    EXPECT_FALSE(cache.holdsLineOfPage(7));
-    // Probing must not disturb LRU order or counters.
-    EXPECT_EQ(cache.accesses(), 1u);
+    EXPECT_EQ(cache.invalidatePage(7), 0u);   // nothing held
+    Addr base = 7 * pageSize;
+    Addr below = base - cacheLineSize;        // last line of page 6
+    Addr above = base + pageSize;             // first line of page 8
+    cache.access(base + 9 * cacheLineSize, AccessType::Write, ev);
+    cache.access(base + 10 * cacheLineSize, AccessType::Read, ev);
+    cache.access(base + 63 * cacheLineSize, AccessType::Write, ev);
+    cache.access(below, AccessType::Write, ev);
+    cache.access(above, AccessType::Read, ev);
+
+    EXPECT_EQ(cache.invalidatePage(7),
+              (std::uint64_t{1} << 9) | (std::uint64_t{1} << 63));
+    for (std::size_t line = 0; line < linesPerPage; ++line)
+        EXPECT_FALSE(cache.contains(base + line * cacheLineSize));
+    EXPECT_EQ(cache.invalidatePage(7), 0u);   // already gone
+
+    // The neighbour pages keep their lines and dirty bits, and the
+    // snoop is neither an access nor a writeback.
+    EXPECT_EQ(cache.invalidateBlock(below), std::optional<bool>(true));
+    EXPECT_EQ(cache.invalidateBlock(above), std::optional<bool>(false));
+    EXPECT_EQ(cache.accesses(), 5u);
+    EXPECT_EQ(cache.writebacks(), 0u);
+    EXPECT_TRUE(cache.checkInvariants());
 }
 
 TEST(SetAssocCache, FlushAllEmitsEverything)

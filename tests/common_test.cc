@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for src/common: types/geometry helpers, logging error
- * types, the deterministic RNG, the Zipf generator and the statistics
- * primitives.
+ * types, the CRC32 checksum, the deterministic RNG, the Zipf generator
+ * and the statistics primitives.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "common/checksum.h"
 #include "common/latency.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -105,6 +109,56 @@ TEST(Logging, LogLevelFiltersBySeverity)
     EXPECT_NE(out.find("panic always prints"), std::string::npos);
 
     setLogLevel("info");   // restore the default for other tests
+}
+
+/** Reference CRC32: the plain bytewise table loop, one byte a step. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *bytes, std::size_t len,
+              std::uint32_t seed)
+{
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+        table[i] = c;
+    }
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i)
+        c = table[(c ^ bytes[i]) & 0xffu] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+TEST(Checksum, Crc32KnownAnswers)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xcbf43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+    // Chaining over a split equals one pass over the whole buffer.
+    EXPECT_EQ(crc32(check + 4, 5, crc32(check, 4)), 0xcbf43926u);
+}
+
+TEST(Checksum, Crc32MatchesBytewiseReference)
+{
+    // Every length 0..257 at every start offset 0..7 (so the 8-byte
+    // steps see every alignment and tail length), each both unseeded
+    // and chained onto the previous result.
+    std::vector<std::uint8_t> buf(257 + 8);
+    Rng rng(0xc3c32);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    std::uint32_t chain = 0;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            const std::uint8_t *p = buf.data() + offset;
+            ASSERT_EQ(crc32(p, len), bytewiseCrc32(p, len, 0))
+                << "offset " << offset << " len " << len;
+            std::uint32_t want = bytewiseCrc32(p, len, chain);
+            ASSERT_EQ(crc32(p, len, chain), want)
+                << "offset " << offset << " len " << len << " chained";
+            chain = want;
+        }
+    }
 }
 
 TEST(SimClock, AdvanceAndAdvanceTo)

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "core/vm_runtime.h"
 #include "mem/backing_store.h"
 #include "mem/dirty_bitmap.h"
 #include "mem/page_snapshot.h"
@@ -32,13 +33,26 @@ TEST(BackingStore, ZeroFilledOnFirstTouch)
 
 TEST(BackingStore, ReadWriteRoundTrip)
 {
-    BackingStore store(1 * MiB);
+    // A small store, and both ends of a VmRuntime's CMem window (the
+    // largest store the simulator reserves).
+    const std::size_t window = VmConfig{}.windowSize;
     const char msg[] = "disaggregated";
-    store.write(5000, msg, sizeof(msg));
-    char out[sizeof(msg)];
-    store.read(5000, out, sizeof(out));
-    EXPECT_STREQ(out, msg);
-    EXPECT_EQ(store.residentPages(), 1u);
+    struct Case
+    {
+        std::size_t capacity;
+        Addr addr;
+    };
+    for (Case c : {Case{1 * MiB, 5000}, Case{window, 0},
+                   Case{window, window - sizeof(msg)}}) {
+        BackingStore store(c.capacity);
+        store.write(c.addr, msg, sizeof(msg));
+        char out[sizeof(msg)];
+        store.read(c.addr, out, sizeof(out));
+        EXPECT_STREQ(out, msg) << "capacity " << c.capacity << " addr "
+                               << c.addr;
+        EXPECT_EQ(store.residentPages(), 1u);
+        EXPECT_TRUE(store.pageResident(c.addr));
+    }
 }
 
 TEST(BackingStore, CrossPageAccess)
@@ -59,9 +73,23 @@ TEST(BackingStore, CrossPageAccess)
 TEST(BackingStore, OutOfBoundsIsFatal)
 {
     BackingStore store(pageSize);
-    std::uint8_t b = 0;
-    EXPECT_THROW(store.read(pageSize, &b, 1), PanicError);
-    EXPECT_THROW(store.write(pageSize - 1, &b, 2), PanicError);
+    std::uint8_t buf[16] = {};
+    struct Case
+    {
+        Addr addr;
+        std::size_t size;
+    };
+    // Past the end, straddling the end, and an (addr, size) whose sum
+    // wraps past 2^64 to a small in-bounds value.
+    for (Case c : {Case{pageSize, 1}, Case{pageSize - 1, 2},
+                   Case{~Addr{0} - 3, 8}}) {
+        EXPECT_THROW(store.read(c.addr, buf, c.size), PanicError)
+            << c.addr;
+        EXPECT_THROW(store.write(c.addr, buf, c.size), PanicError)
+            << c.addr;
+        EXPECT_THROW(store.bytes(c.addr, c.size), PanicError) << c.addr;
+    }
+    EXPECT_EQ(store.residentPages(), 0u);
 }
 
 TEST(BackingStore, DropPageForgetsData)
@@ -69,10 +97,26 @@ TEST(BackingStore, DropPageForgetsData)
     BackingStore store(1 * MiB);
     std::uint32_t value = 0xdeadbeef;
     store.write(0, &value, sizeof(value));
+    store.write(pageSize, &value, sizeof(value));
+    ASSERT_EQ(store.residentPages(), 2u);
+
     store.dropPage(0);
     std::uint32_t out = 1;
     store.read(0, &out, sizeof(out));
     EXPECT_EQ(out, 0u);
+    EXPECT_EQ(store.residentPages(), 1u);
+    EXPECT_FALSE(store.pageResident(0));
+    store.read(pageSize, &out, sizeof(out));   // neighbour untouched
+    EXPECT_EQ(out, value);
+
+    // A dropped page can be written again.
+    std::uint32_t again = 0x600dcafe;
+    store.write(8, &again, sizeof(again));
+    store.read(8, &out, sizeof(out));
+    EXPECT_EQ(out, again);
+    store.read(0, &out, sizeof(out));
+    EXPECT_EQ(out, 0u);
+    EXPECT_EQ(store.residentPages(), 2u);
 }
 
 TEST(PageTable, MapTranslateUnmap)
