@@ -18,7 +18,8 @@
  *                                              adaptive must throttle)
  *
  * Pass --prefetch=POLICY[:depth] to sweep only {off, POLICY}.
- * Exports fpga.prefetch.* per run under "ablation.<wl>.<policy>".
+ * Exports only the result.ablation_prefetch.<wl>.<policy>.* gauges;
+ * each run's component metrics stay in its runtime's private registry.
  */
 
 #include "bench/bench_util.h"
@@ -95,8 +96,7 @@ slugOf(const std::string &policy)
 }
 
 Result
-run(const std::string &workload, const std::string &policy,
-    const std::vector<std::size_t> &stream)
+run(const std::string &policy, const std::vector<std::size_t> &stream)
 {
     Fabric fabric;
     Controller controller(1 * MiB);
@@ -109,10 +109,7 @@ run(const std::string &workload, const std::string &policy,
     cfg.fpga.fmemSize = 8 * MiB;
     cfg.fpga.prefetchPolicy = policy;
     cfg.hierarchy = HierarchyConfig::scaled();
-    KonaRuntime runtime(
-        fabric, controller, 0, cfg,
-        MetricScope(bench::exportRegistry(),
-                    "ablation." + workload + "." + slugOf(policy)));
+    KonaRuntime runtime(fabric, controller, 0, cfg);
 
     Addr region = runtime.allocate(span, pageSize);
     Tick before = runtime.appTime();
@@ -158,7 +155,7 @@ main(int argc, char **argv)
 
         double offNs = 0.0;
         for (const std::string &policy : policies) {
-            Result r = run(workload, policy, stream);
+            Result r = run(policy, stream);
             if (policy == "off")
                 offNs = static_cast<double>(r.appNs);
             double speedup = static_cast<double>(r.appNs) > 0.0

@@ -23,7 +23,7 @@
  * ParallelDriver, DESIGN.md §16), sweeping the shard-concurrency cap.
  * Every thread count must produce the bit-identical run — identical
  * metric-registry fingerprint, identical memory content, identical
- * canonical cross-shard event log — and the t>1 rows report their
+ * gate grant hash — and the t>1 rows report their
  * speedup over the t=1 reference schedule.
  *
  * Flags: --quick (short CI preset), --strict-alloc,
@@ -298,7 +298,7 @@ struct MultiResult
 {
     unsigned threads = 0;
     MixResult mix;
-    std::uint64_t identityHash = 0; ///< fingerprint ⊕ content ⊕ log
+    std::uint64_t identityHash = 0; ///< fingerprint ⊕ grants ⊕ content
     std::uint64_t steadyAllocs = 0; ///< allocs while every shard steady
 };
 
@@ -384,15 +384,10 @@ runMultiRandom(std::uint64_t opsPerShard, unsigned threads)
         out.mix.allocs = out.steadyAllocs;
 
         // Identity evidence, part 1+2: every metric the rack-wide
-        // registry holds, then the canonical cross-shard event log.
+        // registry holds, then the gate's hash of every granted
+        // cross-shard section, in grant order.
         h = fnvMix(h, rack.metrics()->fingerprint());
-        for (const GateRecord &rec : driver.canonicalLog()) {
-            h = fnvMix(h, rec.key.stamp);
-            h = fnvMix(h, rec.key.shard);
-            h = fnvMix(h, rec.key.seq);
-            h = fnvMix(h, static_cast<std::uint64_t>(rec.kind));
-        }
-        h = fnvMix(h, driver.gate().recordsDropped());
+        h = fnvMix(h, driver.gate().grantHash());
     } // ~ParallelDriver: detach the gate before main-thread reads
 
     // Part 3: the bytes of every span (reads of resident pages; the

@@ -26,7 +26,6 @@
 #include "policy/tiering_engine.h"
 #include "policy/victim_policy.h"
 #include "prefetch/prefetcher.h"
-#include "telemetry/event_journal.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
 #include "telemetry/trace_session.h"
@@ -236,21 +235,6 @@ writeTimeseriesIfRequested(const TimeSeriesSampler &sampler)
     if (exportOptions().timeseriesOut.empty())
         return;
     sampler.writeFile(exportOptions().timeseriesOut);
-}
-
-/**
- * Write @p runtime's event journal to --events-out= as JSONL (no-op
- * when the flag is absent or the runtime has no journal).
- */
-inline void
-writeEventsIfRequested(RemoteMemoryRuntime &runtime)
-{
-    if (exportOptions().eventsOut.empty())
-        return;
-    EventJournal *journal = runtime.eventJournal();
-    if (journal == nullptr)
-        return;
-    journal->writeJsonlFile(exportOptions().eventsOut);
 }
 
 /** A rack with @p nodeCount memory nodes of @p nodeSize bytes each. */

@@ -52,7 +52,7 @@
  *                        the plain and --chaos= modes
  *   --timeseries-interval=NS  sim-time sampling interval in ns
  *                        (default 1000000 = 1ms)
- *   --events-out=PATH    write the runtime's structured event journal
+ *   --events-out=PATH    write the rack's structured event journal
  *                        (health transitions, quarantine/readmit,
  *                        epoch bumps, drain/join, stale-home marks,
  *                        retries-exhausted, ring-full stalls) as JSONL
@@ -606,19 +606,13 @@ main(int argc, char **argv)
                         sampler.droppedWindows()));
     }
     if (runtime != nullptr && !flags.eventsOut.empty()) {
-        EventJournal *journal = runtime->eventJournal();
-        if (journal != nullptr) {
-            if (!journal->writeJsonlFile(flags.eventsOut))
-                return 1;
-            std::printf("events     : %s (%zu journal events, %llu "
-                        "dropped)\n",
-                        flags.eventsOut.c_str(), journal->size(),
-                        static_cast<unsigned long long>(
-                            journal->dropped()));
-        } else {
-            std::fprintf(stderr, "--events-out= needs a runtime with "
-                                 "an event journal (kona); ignoring\n");
-        }
+        const EventJournal &journal = controller.journal();
+        if (!journal.writeJsonlFile(flags.eventsOut))
+            return 1;
+        std::printf("events     : %s (%zu journal events, %llu "
+                    "dropped)\n",
+                    flags.eventsOut.c_str(), journal.size(),
+                    static_cast<unsigned long long>(journal.dropped()));
     }
 
     if (!metricsJson.empty()) {

@@ -222,7 +222,7 @@ runChaosScenario(const ChaosScenario &scenario,
         config.sampler->finish(runtime.appClock().now());
 
     report.image = dumpImage(runtime);
-    report.journal = runtime.journal().snapshot();
+    report.journal = controller.journal().snapshot();
     const LatencyAttribution &miss = runtime.missAttribution();
     report.missAttrSamples = miss.samples();
     report.missAttrTotalNs = miss.totalNs();

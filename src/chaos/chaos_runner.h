@@ -74,7 +74,7 @@ struct ChaosReport
     bool hotAdded = false;           ///< a HotAdd event executed
     RebuildReport hotAddReport;
 
-    /** The runtime's structured event journal, oldest first. */
+    /** The rack's structured event journal, oldest first. */
     std::vector<JournalEvent> journal;
 
     /** Attribution invariants (sum of components == total, exactly). */

@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -52,86 +51,6 @@ IntDistribution::quantile(double q) const
             return value;
     }
     return buckets_.rbegin()->first;
-}
-
-std::vector<std::pair<std::uint64_t, double>>
-IntDistribution::cdfPoints(std::uint64_t lo, std::uint64_t hi) const
-{
-    std::vector<std::pair<std::uint64_t, double>> points;
-    points.reserve(hi - lo + 1);
-    std::uint64_t running = 0;
-    auto it = buckets_.begin();
-    // Account for any mass below the printed range first.
-    while (it != buckets_.end() && it->first < lo) {
-        running += it->second;
-        ++it;
-    }
-    for (std::uint64_t v = lo; v <= hi; ++v) {
-        while (it != buckets_.end() && it->first == v) {
-            running += it->second;
-            ++it;
-        }
-        double frac = samples_ == 0
-            ? 0.0
-            : static_cast<double>(running) / static_cast<double>(samples_);
-        points.emplace_back(v, frac);
-    }
-    return points;
-}
-
-double
-WindowedSeries::mean() const
-{
-    if (values_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values_)
-        sum += v;
-    return sum / static_cast<double>(values_.size());
-}
-
-double
-WindowedSeries::trimmedMean(std::size_t skipFront,
-                            std::size_t skipBack) const
-{
-    if (values_.size() <= skipFront + skipBack)
-        return 0.0;
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = skipFront; i < values_.size() - skipBack; ++i) {
-        sum += values_[i];
-        ++n;
-    }
-    return sum / static_cast<double>(n);
-}
-
-double
-WindowedSeries::min() const
-{
-    if (values_.empty())
-        return 0.0;
-    return *std::min_element(values_.begin(), values_.end());
-}
-
-double
-WindowedSeries::max() const
-{
-    if (values_.empty())
-        return 0.0;
-    return *std::max_element(values_.begin(), values_.end());
-}
-
-double
-geometricMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double logSum = 0.0;
-    for (double v : values) {
-        KONA_ASSERT(v > 0.0, "geometricMean needs positive values");
-        logSum += std::log(v);
-    }
-    return std::exp(logSum / static_cast<double>(values.size()));
 }
 
 } // namespace kona

@@ -1,8 +1,7 @@
 /**
  * @file
- * Statistics primitives used across the reproduction: scalar counters,
- * integer-bucket distributions with CDF extraction (Figs 2 and 3), and
- * per-window time series (Fig 9 and Table 2's windowed measurement).
+ * Statistics primitives used across the reproduction: scalar counters
+ * and integer-bucket distributions with CDF extraction (Figs 2 and 3).
  */
 
 #ifndef KONA_COMMON_STATS_H
@@ -10,8 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
 
 namespace kona {
 
@@ -31,7 +28,9 @@ class Counter
 
 /**
  * Distribution over small integer values (e.g. "number of accessed
- * cache-lines in a page", always in [0, 64]). Stores exact bucket counts.
+ * cache-lines in a page", always in [0, 64]). Stores exact bucket counts:
+ * Figs 2 and 3 plot a CDF at every integer in [0, 64], which the
+ * registry's log2-bucketed LatencyHistogram cannot resolve.
  */
 class IntDistribution
 {
@@ -50,13 +49,6 @@ class IntDistribution
     /** Smallest value v with cdfAt(v) >= @p q, for q in (0, 1]. */
     std::uint64_t quantile(double q) const;
 
-    /**
-     * Materialize CDF points (value, cumulative fraction) for every
-     * value in [lo, hi], suitable for printing a figure series.
-     */
-    std::vector<std::pair<std::uint64_t, double>>
-    cdfPoints(std::uint64_t lo, std::uint64_t hi) const;
-
     const std::map<std::uint64_t, std::uint64_t> &buckets() const
     {
         return buckets_;
@@ -67,37 +59,6 @@ class IntDistribution
     std::uint64_t samples_ = 0;
     std::uint64_t weightedSum_ = 0;
 };
-
-/**
- * A per-window scalar series: the Fig 9 experiment reports dirty-data
- * amplification per 1-second window; Table 2 averages over windows.
- */
-class WindowedSeries
-{
-  public:
-    void append(double value) { values_.push_back(value); }
-
-    std::size_t windows() const { return values_.size(); }
-    const std::vector<double> &values() const { return values_; }
-
-    /** Arithmetic mean over all windows; 0 when empty. */
-    double mean() const;
-
-    /** Mean skipping the first @p skipFront and last @p skipBack windows.
-     *  The paper drops the teardown window from the reported averages. */
-    double trimmedMean(std::size_t skipFront, std::size_t skipBack) const;
-
-    /** Smallest window value; 0 when the series is empty. */
-    double min() const;
-    /** Largest window value; 0 when the series is empty. */
-    double max() const;
-
-  private:
-    std::vector<double> values_;
-};
-
-/** Geometric mean of a vector of positive ratios. */
-double geometricMean(const std::vector<double> &values);
 
 /**
  * Fault-tolerance snapshot of a runtime and its rack (§4.5): how often

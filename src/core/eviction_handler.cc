@@ -48,12 +48,12 @@ EvictionHandler::EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
                                  Controller &controller,
                                  EvictionConfig config,
                                  const RetryPolicy &retry,
-                                 TraceSession &trace, EventJournal &journal,
-                                 MetricScope scope)
+                                 TraceSession &trace,
+                                 const SimClock &appClock, MetricScope scope)
     : fabric_(fabric), fpga_(fpga), hierarchy_(hierarchy),
       controller_(controller), config_(config), scope_(std::move(scope)),
       retryPolicy_(retry), poller_(fabric.latency()), trace_(trace),
-      journal_(journal),
+      appClock_(appClock),
       pagesEvicted_(scope_.counter("pages_evicted")),
       silent_(scope_.counter("silent_evictions")),
       lines_(scope_.counter("dirty_lines_written")),
@@ -376,7 +376,7 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
         if (!ring.packing)
             continue;
         if (fabric_.nodeDown(nodeId)) {
-            controller_.reportOpFailure(nodeId);
+            controller_.reportOpFailure(nodeId, appClock_.now());
             continue;
         }
 
@@ -392,7 +392,9 @@ EvictionHandler::submit(std::span<const Addr> vpns, SimClock &clock)
             // Backpressure: every slot holds an in-flight log. Fall
             // back to blocking on the oldest completion on this node.
             ringStalls_.add();
-            journal_.record(JournalKind::RingFullStall, nodeId, batch.id);
+            controller_.journal().record(appClock_.now(),
+                                         JournalKind::RingFullStall,
+                                         nodeId, batch.id);
             auto next = earliestDoneAt([nodeId](const Shipment &s) {
                 return s.node == nodeId;
             });
@@ -512,7 +514,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
         // health scorer already quarantined gets one attempt per batch
         // (so recovery evidence keeps flowing) but no retry storm —
         // its missed copies are stale-marked at finalize instead.
-        controller_.reportOpFailure(s.node);
+        controller_.reportOpFailure(s.node, appClock_.now());
         if (fabric_.nodeDown(s.node) || !s.retry.shouldRetry() ||
             controller_.health(s.node) == NodeHealth::Quarantined) {
             settleShipment(s, false);
@@ -529,7 +531,8 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     // scorer: a straggler node that only ever receives evictions (its
     // slabs hold no read-hot primaries) would otherwise never attract
     // a latency sample and could not reach Suspect.
-    controller_.observeFetch(s.node, wc.completeAt - s.wireStart);
+    controller_.observeFetch(s.node, wc.completeAt - s.wireStart,
+                             appClock_.now());
 
     std::size_t bytes = payload.bytes.size();
     if (tracing()) {
@@ -540,7 +543,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
 
     if (!s.clLog) {
         wireBytes_.add(bytes);
-        controller_.reportOpSuccess(s.node);
+        controller_.reportOpSuccess(s.node, appClock_.now());
         settleShipment(s, true);
         return;
     }
@@ -575,7 +578,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
     wireBytes_.add(bytes);
     if (!receipt.ok) {
         naks_.add();
-        controller_.observeNak(s.node);
+        controller_.observeNak(s.node, appClock_.now());
         if (!s.retry.shouldRetry()) {
             settleShipment(s, false);
             return;
@@ -586,7 +589,7 @@ EvictionHandler::handleCompletion(const WorkCompletion &wc)
         postShipment(s);
         return;
     }
-    controller_.reportOpSuccess(s.node);
+    controller_.reportOpSuccess(s.node, appClock_.now());
     settleShipment(s, true);
 }
 
@@ -599,9 +602,11 @@ EvictionHandler::settleShipment(Shipment &s, bool succeeded)
     retransmits_.add(s.sends - 1);
     shipAttr_.record(s.doneAt - s.attrStart, s.comp.data(),
                      EvictComponent::Other);
-    if (!succeeded)
-        journal_.record(JournalKind::RetriesExhausted, s.node, s.batch->id,
-                        s.sends);
+    if (!succeeded) {
+        controller_.journal().record(appClock_.now(),
+                                     JournalKind::RetriesExhausted, s.node,
+                                     s.batch->id, s.sends);
+    }
 }
 
 void
@@ -660,8 +665,9 @@ EvictionHandler::finalizeBatch(Batch &batch)
                 // and the page's next eviction re-ships these lines.
                 fpga_.markStaleHome(page.vpn, home, page.mask);
                 staleMarks_.add();
-                journal_.record(JournalKind::StaleHomeMark, home, page.vpn,
-                                page.mask);
+                controller_.journal().record(appClock_.now(),
+                                             JournalKind::StaleHomeMark,
+                                             home, page.vpn, page.mask);
             }
         }
         if (!safe) {

@@ -45,7 +45,6 @@
 #include "rack/cl_log.h"
 #include "rack/controller.h"
 #include "telemetry/attribution.h"
-#include "telemetry/event_journal.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace_session.h"
 
@@ -56,8 +55,8 @@ enum class EvictionMode : std::uint8_t { ClLog, FullPage };
 
 /**
  * Static configuration of the eviction engine; embed in KonaConfig as
- * `evict`. The retry policy, trace session and event journal come from
- * the owning runtime (constructor arguments).
+ * `evict`. The retry policy, trace session and app clock come from the
+ * owning runtime (constructor arguments).
  */
 struct EvictionConfig
 {
@@ -107,14 +106,16 @@ class EvictionHandler
     /**
      * @param retry Retry discipline for shipping payloads (drops, NAKs).
      * @param trace Span tracer for the eviction path.
-     * @param journal Receives stale-home marks, retries-exhausted
-     *        give-ups and ring-full stalls.
+     * @param appClock The owning runtime's app clock: it stamps the
+     *        stale-home marks, retries-exhausted give-ups and ring-full
+     *        stalls this engine records in the Controller's journal,
+     *        and its health reports to the Controller.
      * @param scope Telemetry scope for the eviction counters.
      */
     EvictionHandler(Fabric &fabric, CoherentFpga &fpga,
                     CacheHierarchy &hierarchy, Controller &controller,
                     EvictionConfig config, const RetryPolicy &retry,
-                    TraceSession &trace, EventJournal &journal,
+                    TraceSession &trace, const SimClock &appClock,
                     MetricScope scope = {});
 
     /**
@@ -400,7 +401,7 @@ class EvictionHandler
     std::uint64_t retrySeed_ = 0x5eedULL;
 
     TraceSession &trace_;
-    EventJournal &journal_;
+    const SimClock &appClock_;
     std::uint32_t traceLane_ = traceAppThread;
     Counter &pagesEvicted_;
     Counter &silent_;

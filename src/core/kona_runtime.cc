@@ -17,7 +17,7 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
       fpga_(fabric, computeNode, config.fpga, scope_.sub("fpga")),
       hierarchy_(config.hierarchy, scope_.sub("hierarchy")),
       evictor_(fabric, fpga_, hierarchy_, controller, config.evict,
-               config.retry, trace_, journal_, scope_.sub("evict")),
+               config.retry, trace_, appClock_, scope_.sub("evict")),
       vfmemCursor_(config.fpga.vfmemBase),
       reads_(scope_.counter("reads")),
       writes_(scope_.counter("writes")),
@@ -27,15 +27,11 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
       rebuildPromotions_(scope_.counter("rebuild_promotions")),
       outageBackoffNs_(scope_.histogram("outage_backoff_ns"))
 {
-    // The journal timestamps on the app clock and mirrors into the
-    // trace as instants; its dropped-event count (and the trace ring's)
-    // are registry metrics so exports expose flight-recorder loss.
-    journal_.setClock(&appClock_);
-    journal_.setTraceSession(&trace_);
-    journal_.bindCounters(&scope_.counter("journal.events_recorded"),
-                          &scope_.counter("journal.events_dropped"));
+    // The trace ring's dropped-event count is a registry metric so
+    // exports expose flight-recorder loss; its JSON carries the rack
+    // journal's events as instants.
     trace_.bindDroppedCounter(&scope_.counter("trace.dropped_events"));
-    controller_.setJournal(&journal_);
+    trace_.setJournal(&controller_.journal());
     fpga_.setMissAttribution(&missAttr_);
 
     hierarchy_.setListener(&fpga_);
@@ -53,10 +49,10 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
     fpga_.setHealthReporter([this](NodeId node, bool ok,
                                    Tick latencyNs) {
         if (ok) {
-            controller_.reportOpSuccess(node);
-            controller_.observeFetch(node, latencyNs);
+            controller_.reportOpSuccess(node, appClock_.now());
+            controller_.observeFetch(node, latencyNs, appClock_.now());
         } else {
-            controller_.reportOpFailure(node);
+            controller_.reportOpFailure(node, appClock_.now());
         }
     });
     // Reads hedge away from nodes the membership state machine says
@@ -123,13 +119,7 @@ KonaRuntime::KonaRuntime(Fabric &fabric, Controller &controller,
     mapNewSlab();
 }
 
-KonaRuntime::~KonaRuntime()
-{
-    // The Controller outlives runtimes and may be shared between them;
-    // only clear the binding if it still points at our journal.
-    if (controller_.journal() == &journal_)
-        controller_.setJournal(nullptr);
-}
+KonaRuntime::~KonaRuntime() = default;
 
 void
 KonaRuntime::attachCoherence(DirectoryService &directory)
@@ -488,7 +478,8 @@ KonaRuntime::recoverFromNodeFailure(NodeId node)
     // eviction, rebuild source selection) talks to it again.
     fabric_.setNodeDown(node, true);
     auto placements = collectPlacements();
-    RebuildReport report = controller_.rebuildReplicas(node, placements);
+    RebuildReport report =
+        controller_.rebuildReplicas(node, placements, appClock_.now());
     rebuildPromotions_.add(report.primariesPromoted);
     degraded_ = report.slabsLost > 0 || report.slabsUnrebuilt > 0;
     if (report.slabsLost > 0) {
@@ -508,12 +499,13 @@ KonaRuntime::decommissionNode(NodeId node)
     // its slabs, and a log landing after the rewrite would scribble on
     // reused memory (the evacuate x async-eviction race).
     if (controller_.health(node) != NodeHealth::Draining)
-        controller_.drainNode(node);
+        controller_.drainNode(node, appClock_.now());
     evictor_.drainNode(node, backgroundClock_);
     auto placements = collectPlacements();
-    RebuildReport report = controller_.evacuateNode(node, placements);
+    RebuildReport report =
+        controller_.evacuateNode(node, placements, appClock_.now());
     if (report.slabsUnrebuilt == 0) {
-        controller_.removeNode(node);
+        controller_.removeNode(node, appClock_.now());
         inform("node ", node, " decommissioned");
     } else {
         warn("node ", node, " still holds ", report.slabsUnrebuilt,
@@ -531,12 +523,12 @@ KonaRuntime::hotAddNode(MemoryNode &node)
     // arbitrary donors, so every in-flight shipment must land before
     // placements move — then warm the newcomer with its fair share of
     // existing copies and promote it to Healthy.
-    controller_.joinNode(node);
+    controller_.joinNode(node, appClock_.now());
     evictor_.drain(backgroundClock_);
     auto placements = collectPlacements();
     RebuildReport report =
         controller_.rebalanceOnto(node.id(), placements);
-    controller_.completeJoin(node.id());
+    controller_.completeJoin(node.id(), appClock_.now());
     inform("node ", node.id(), " hot-added: ", report.slabsRebuilt,
            " slab(s) rebalanced onto it");
     return report;

@@ -36,7 +36,6 @@
 #include "policy/tiering_engine.h"
 #include "rack/controller.h"
 #include "telemetry/attribution.h"
-#include "telemetry/event_journal.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace_session.h"
 
@@ -72,8 +71,8 @@ struct KonaConfig
 
     /**
      * Eviction engine configuration (mode, pipeline depth, pump
-     * cadence). The engine retries with `retry` above and traces into
-     * the runtime's own session and event journal.
+     * cadence). The engine retries with `retry` above, traces into the
+     * runtime's own session and journals into the Controller's.
      */
     EvictionConfig evict;
 
@@ -212,8 +211,6 @@ class KonaRuntime : public RemoteMemoryRuntime
     }
 
     TraceSession *traceSession() override { return &trace_; }
-    EventJournal *eventJournal() override { return &journal_; }
-    EventJournal &journal() { return journal_; }
 
     /** Tick @p sampler once per read()/write() on the app clock. */
     void setTimeSeriesSampler(TimeSeriesSampler *sampler) override
@@ -297,7 +294,6 @@ class KonaRuntime : public RemoteMemoryRuntime
     KonaConfig config_;
     MetricScope scope_;
     TraceSession trace_;
-    EventJournal journal_;
     CoherentFpga fpga_;
     CacheHierarchy hierarchy_;
     EvictionHandler evictor_;
@@ -311,6 +307,11 @@ class KonaRuntime : public RemoteMemoryRuntime
     DirectoryService *coherenceDir_ = nullptr;
     Addr vfmemCursor_;
 
+    /** Kept beside the other per-access members: placed at the top of
+     *  the object they slowed the FMem-hit access path. evictor_ binds
+     *  a reference to appClock_ before the clock is constructed; it
+     *  reads the clock only from its member functions, never while
+     *  either object is being constructed or destroyed. */
     SimClock appClock_;
     SimClock backgroundClock_;
     GateEndpoint gate_;

@@ -21,7 +21,6 @@
 
 namespace kona {
 
-class EventJournal;
 class TimeSeriesSampler;
 class TraceSession;
 
@@ -91,13 +90,6 @@ class RemoteMemoryRuntime : public MemoryInterface
      * nullptr when the runtime is not instrumented.
      */
     virtual TraceSession *traceSession() { return nullptr; }
-
-    /**
-     * The runtime's structured event journal (health transitions,
-     * membership changes, eviction give-ups); nullptr when the runtime
-     * does not keep one.
-     */
-    virtual EventJournal *eventJournal() { return nullptr; }
 
     /**
      * Tick @p sampler from the runtime's access loop so it can close

@@ -172,7 +172,7 @@ VmRuntime::majorFault(Addr vpn)
         for (std::size_t i = 0; i < copies.size() && !fetched; ++i) {
             const RemoteLocation &loc = copies[i];
             if (fabric_.nodeDown(loc.node)) {
-                controller_.reportOpFailure(loc.node);
+                controller_.reportOpFailure(loc.node, appClock_.now());
                 continue;
             }
             WorkRequest wr;
@@ -185,11 +185,11 @@ VmRuntime::majorFault(Addr vpn)
             PostResult posted = qpTo(loc.node).post(wr, scratch);
             if (!posted.ok()) {
                 poller_.drain(cq_, scratch, posted.cqesPushed);
-                controller_.reportOpFailure(loc.node);
+                controller_.reportOpFailure(loc.node, appClock_.now());
                 continue;
             }
             poller_.waitOne(cq_, scratch);
-            controller_.reportOpSuccess(loc.node);
+            controller_.reportOpSuccess(loc.node, appClock_.now());
             if (i > 0) {
                 bool earlierAllDown = true;
                 for (std::size_t j = 0; j < i; ++j)
@@ -380,7 +380,7 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
         bool any = false;
         for (const RemoteLocation &loc : copies) {
             if (fabric_.nodeDown(loc.node)) {
-                controller_.reportOpFailure(loc.node);
+                controller_.reportOpFailure(loc.node, appClock_.now());
                 continue;
             }
             SimClock branch;
@@ -395,11 +395,11 @@ VmRuntime::writebackPage(Addr vpn, SimClock &clock)
             PostResult posted = qpTo(loc.node).post(wr, branch);
             if (!posted.ok()) {
                 poller_.drain(cq_, branch, posted.cqesPushed);
-                controller_.reportOpFailure(loc.node);
+                controller_.reportOpFailure(loc.node, appClock_.now());
                 continue;
             }
             poller_.waitOne(cq_, branch);
-            controller_.reportOpSuccess(loc.node);
+            controller_.reportOpSuccess(loc.node, appClock_.now());
             wireBytes_.add(pageSize);
             maxEnd = std::max(maxEnd, branch.now());
             any = true;

@@ -8,8 +8,23 @@
 
 namespace kona {
 
+namespace {
+
+/** Fold the eight bytes of @p v into the FNV-1a hash @p h. */
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+} // namespace
+
 ShardGate::ShardGate(std::size_t shards, unsigned concurrency,
-                     Tick horizon, std::size_t ringCapacity)
+                     Tick horizon)
     : shards_(shards),
       bounds_(std::make_unique<std::atomic<Tick>[]>(shards)),
       lastNotify_(shards, 0),
@@ -18,11 +33,8 @@ ShardGate::ShardGate(std::size_t shards, unsigned concurrency,
       tokens_(concurrency_), horizon_(horizon > 0 ? horizon : 1)
 {
     KONA_ASSERT(shards > 0, "gate over zero shards");
-    for (std::size_t i = 0; i < shards; ++i) {
+    for (std::size_t i = 0; i < shards; ++i)
         bounds_[i].store(0, std::memory_order_relaxed);
-        shards_[i].ring =
-            std::make_unique<SpscRing<GateRecord>>(ringCapacity);
-    }
 }
 
 Tick
@@ -167,7 +179,10 @@ ShardGate::leave(std::uint32_t shard, Tick nextStamp)
                 " but the section belongs to shard ", ownerShard_);
     Shard &s = shards_[ownerShard_];
     s.executing = false;
-    s.ring->push({s.key, s.kind});
+    grantHash_ = fnvMix(grantHash_, s.key.stamp);
+    grantHash_ = fnvMix(grantHash_, s.key.shard);
+    grantHash_ = fnvMix(grantHash_, s.key.seq);
+    grantHash_ = fnvMix(grantHash_, static_cast<std::uint64_t>(s.kind));
     if (s.scripted) {
         s.nextStamp = std::max(nextStamp, s.key.stamp);
     } else {
@@ -180,29 +195,11 @@ ShardGate::leave(std::uint32_t shard, Tick nextStamp)
     cv_.notify_all();
 }
 
-std::vector<GateRecord>
-ShardGate::drainRecords()
-{
-    std::vector<GateRecord> all;
-    for (Shard &s : shards_) {
-        GateRecord r;
-        while (s.ring->pop(r))
-            all.push_back(r);
-    }
-    std::sort(all.begin(), all.end(),
-              [](const GateRecord &a, const GateRecord &b) {
-                  return a.key < b.key;
-              });
-    return all;
-}
-
 std::uint64_t
-ShardGate::recordsDropped() const
+ShardGate::grantHash() const
 {
-    std::uint64_t n = 0;
-    for (const Shard &s : shards_)
-        n += s.ring->dropped();
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return grantHash_;
 }
 
 } // namespace kona

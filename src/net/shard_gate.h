@@ -52,13 +52,12 @@
 #include <vector>
 
 #include "common/shard_clock.h"
-#include "net/spsc_ring.h"
 
 namespace kona {
 
 class SimClock;
 
-/** What a gated section did, for the canonical event log. */
+/** What a gated section did, for the grant hash. */
 enum class GateEvent : std::uint8_t
 {
     Fetch,      ///< remote page fetch (demand/prefetch/tier)
@@ -66,13 +65,6 @@ enum class GateEvent : std::uint8_t
     Coherence,  ///< directory acquire/release/invalidate
     Control,    ///< slab allocation, health sweep, recovery
     Scripted,   ///< externally scheduled op (litmus replay)
-};
-
-/** One executed cross-shard event in the canonical log. */
-struct GateRecord
-{
-    EventKey key;
-    GateEvent kind = GateEvent::Fetch;
 };
 
 /** Epoch/barrier synchronizer over a fixed set of shards. */
@@ -85,10 +77,8 @@ class ShardGate
      *                    simultaneously (clamped to [1, shards]).
      * @param horizon     Lookahead horizon in sim-ns (wakeup throttle;
      *                    use conservativeHorizon(fabric.latency())).
-     * @param ringCapacity Canonical-log ring slots per shard.
      */
-    ShardGate(std::size_t shards, unsigned concurrency, Tick horizon,
-              std::size_t ringCapacity = 1 << 15);
+    ShardGate(std::size_t shards, unsigned concurrency, Tick horizon);
 
     std::size_t shardCount() const { return shards_.size(); }
     unsigned concurrency() const { return concurrency_; }
@@ -153,13 +143,12 @@ class ShardGate
     }
 
     /**
-     * Drain every shard's event ring and return the canonical log,
-     * sorted by key. Call from the driver after shards quiesce.
+     * FNV-1a hash of every outermost section's (stamp, shard, seq,
+     * kind), folded in grant order. Two runs granted the same sections
+     * in the same order hash equal; the bit-identity tests compare it
+     * across thread counts.
      */
-    std::vector<GateRecord> drainRecords();
-
-    /** Canonical-log records lost to full rings. */
-    std::uint64_t recordsDropped() const;
+    std::uint64_t grantHash() const;
 
   private:
     struct Shard
@@ -172,7 +161,6 @@ class ShardGate
         GateEvent kind = GateEvent::Fetch;
         Tick nextStamp = 0;       ///< scripted: promised next stamp
         ShardClock clock;
-        std::unique_ptr<SpscRing<GateRecord>> ring;
     };
 
     /** Lower bound on @p s's next (or current) section key. */
@@ -196,6 +184,7 @@ class ShardGate
 
     std::atomic<int> waiters_{0};
     std::atomic<std::uint64_t> events_{0};
+    std::uint64_t grantHash_ = 14695981039346656037ULL; ///< under mu_
     unsigned concurrency_;
     unsigned tokens_;
     Tick horizon_;

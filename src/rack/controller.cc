@@ -11,6 +11,7 @@ Controller::Controller(std::size_t slabSize, MetricScope scope,
                        const std::string &placementPolicy)
     : slabSize_(slabSize), scope_(std::move(scope)),
       placement_(makePlacementPolicy(placementPolicy)),
+      journal_(4096, scope_.sub("journal")),
       slabsAllocated_(scope_.counter("slabs_allocated")),
       nodesFailed_(scope_.counter("nodes_failed")),
       slabsRebuilt_(scope_.counter("slabs_rebuilt")),
@@ -36,7 +37,7 @@ Controller::registerNode(MemoryNode &node)
 }
 
 void
-Controller::removeNode(NodeId node)
+Controller::removeNode(NodeId node, Tick now)
 {
     KONA_ASSERT(nodes_.erase(node) == 1, "unknown node ", node);
     health_.erase(node);
@@ -44,9 +45,8 @@ Controller::removeNode(NodeId node)
     scores_.erase(node);
     ++membershipEpoch_;
     epochGauge_.set(static_cast<double>(membershipEpoch_));
-    if (journal_ != nullptr)
-        journal_->record(JournalKind::NodeRemoved, node, 0, 0,
-                         membershipEpoch_);
+    journal_.record(now, JournalKind::NodeRemoved, node, 0, 0,
+                    membershipEpoch_);
 }
 
 SlabGrant
@@ -159,42 +159,42 @@ Controller::totalFree() const
 }
 
 void
-Controller::reportOpFailure(NodeId node)
+Controller::reportOpFailure(NodeId node, Tick now)
 {
     if (health(node) == NodeHealth::Failed)
         return;
     if (++consecFailures_[node] >= failureThreshold_) {
-        markFailed(node);
+        markFailed(node, now);
         return;
     }
-    recordSample(node, 1.0, std::nullopt);
+    recordSample(node, 1.0, std::nullopt, now);
 }
 
 void
-Controller::reportOpSuccess(NodeId node)
+Controller::reportOpSuccess(NodeId node, Tick now)
 {
     consecFailures_[node] = 0;
-    recordSample(node, 0.0, std::nullopt);
+    recordSample(node, 0.0, std::nullopt, now);
 }
 
 void
-Controller::observeFetch(NodeId node, Tick latencyNs)
+Controller::observeFetch(NodeId node, Tick latencyNs, Tick now)
 {
-    recordSample(node, 0.0, latencyNs);
+    recordSample(node, 0.0, latencyNs, now);
 }
 
 void
-Controller::observeNak(NodeId node)
+Controller::observeNak(NodeId node, Tick now)
 {
     // A NAK is softer evidence than a timeout: the node answered, the
     // payload just failed its end-to-end check.
-    recordSample(node, 0.75, std::nullopt);
+    recordSample(node, 0.75, std::nullopt, now);
 }
 
 void
-Controller::observeTimeout(NodeId node)
+Controller::observeTimeout(NodeId node, Tick now)
 {
-    recordSample(node, 1.0, std::nullopt);
+    recordSample(node, 1.0, std::nullopt, now);
 }
 
 double
@@ -219,7 +219,7 @@ Controller::healthScore(NodeId node) const
 
 void
 Controller::recordSample(NodeId node, double badness,
-                         std::optional<Tick> latencyNs)
+                         std::optional<Tick> latencyNs, Tick now)
 {
     NodeHealth h = health(node);
     if (h == NodeHealth::Failed)
@@ -241,16 +241,16 @@ Controller::recordSample(NodeId node, double badness,
     case NodeHealth::Healthy:
         if (score >= p.suspectThreshold) {
             nodesSuspected_.add();
-            transition(node, NodeHealth::Suspect, "score degraded");
+            transition(node, NodeHealth::Suspect, "score degraded", now);
         }
         break;
     case NodeHealth::Suspect:
         if (score >= p.quarantineThreshold) {
             nodesQuarantined_.add();
-            transition(node, NodeHealth::Quarantined,
-                       "score collapsed");
+            transition(node, NodeHealth::Quarantined, "score collapsed",
+                       now);
         } else if (score <= p.recoverThreshold) {
-            transition(node, NodeHealth::Healthy, "score recovered");
+            transition(node, NodeHealth::Healthy, "score recovered", now);
         }
         break;
     case NodeHealth::Quarantined:
@@ -258,16 +258,16 @@ Controller::recordSample(NodeId node, double badness,
             s.probation = p.readmitProbation;
             nodesReadmitted_.add();
             transition(node, NodeHealth::Readmitted,
-                       "score recovered; on probation");
+                       "score recovered; on probation", now);
         }
         break;
     case NodeHealth::Readmitted:
         if (badness >= 1.0) {
             nodesSuspected_.add();
             transition(node, NodeHealth::Suspect,
-                       "failed while on probation");
+                       "failed while on probation", now);
         } else if (s.probation > 0 && --s.probation == 0) {
-            transition(node, NodeHealth::Healthy, "probation served");
+            transition(node, NodeHealth::Healthy, "probation served", now);
         }
         break;
     case NodeHealth::Joining:
@@ -278,29 +278,23 @@ Controller::recordSample(NodeId node, double badness,
 }
 
 void
-Controller::transition(NodeId node, NodeHealth to, const char *reason)
+Controller::transition(NodeId node, NodeHealth to, const char *reason,
+                       Tick now)
 {
     const NodeHealth from = health(node);
     health_[node] = to;
     ++membershipEpoch_;
     epochGauge_.set(static_cast<double>(membershipEpoch_));
-    if (journal_ != nullptr) {
-        journal_->record(JournalKind::HealthTransition, node,
-                         static_cast<std::uint64_t>(from),
-                         static_cast<std::uint64_t>(to),
-                         membershipEpoch_);
-    }
-    static const char *names[] = {"healthy",     "suspect",
-                                  "quarantined", "readmitted",
-                                  "joining",     "draining",
-                                  "failed"};
+    journal_.record(now, JournalKind::HealthTransition, node,
+                    static_cast<std::uint64_t>(from),
+                    static_cast<std::uint64_t>(to), membershipEpoch_);
     inform("controller: node ", node, " -> ",
-           names[static_cast<std::size_t>(to)], " (", reason,
-           "), epoch ", membershipEpoch_);
+           journalHealthName(static_cast<std::uint64_t>(to)), " (",
+           reason, "), epoch ", membershipEpoch_);
 }
 
 void
-Controller::markFailed(NodeId node)
+Controller::markFailed(NodeId node, Tick now)
 {
     if (health(node) == NodeHealth::Failed)
         return;
@@ -309,44 +303,41 @@ Controller::markFailed(NodeId node)
     newlyFailed_.push_back(node);
     newlyFailedFlag_.store(true, std::memory_order_release);
     nodesFailed_.add();
-    transition(node, NodeHealth::Failed, "declared dead");
+    transition(node, NodeHealth::Failed, "declared dead", now);
     warn("controller: memory node ", node, " declared failed");
 }
 
 void
-Controller::drainNode(NodeId node)
+Controller::drainNode(NodeId node, Tick now)
 {
     KONA_ASSERT(nodes_.count(node) == 1, "unknown node ", node);
     KONA_ASSERT(health(node) != NodeHealth::Failed,
                 "cannot drain an already-failed node");
-    transition(node, NodeHealth::Draining, "operator drain");
-    if (journal_ != nullptr)
-        journal_->record(JournalKind::DrainStart, node, 0, 0,
-                         membershipEpoch_);
+    transition(node, NodeHealth::Draining, "operator drain", now);
+    journal_.record(now, JournalKind::DrainStart, node, 0, 0,
+                    membershipEpoch_);
     inform("controller: draining memory node ", node);
 }
 
 void
-Controller::joinNode(MemoryNode &node)
+Controller::joinNode(MemoryNode &node, Tick now)
 {
     registerNode(node);
     nodesJoined_.add();
-    transition(node.id(), NodeHealth::Joining, "hot-add");
-    if (journal_ != nullptr)
-        journal_->record(JournalKind::JoinStart, node.id(), 0, 0,
-                         membershipEpoch_);
+    transition(node.id(), NodeHealth::Joining, "hot-add", now);
+    journal_.record(now, JournalKind::JoinStart, node.id(), 0, 0,
+                    membershipEpoch_);
 }
 
 void
-Controller::completeJoin(NodeId node)
+Controller::completeJoin(NodeId node, Tick now)
 {
     KONA_ASSERT(health(node) == NodeHealth::Joining,
                 "completeJoin on a node that is not joining");
     scores_[node] = {};
-    transition(node, NodeHealth::Healthy, "warm-up complete");
-    if (journal_ != nullptr)
-        journal_->record(JournalKind::JoinComplete, node, 0, 0,
-                         membershipEpoch_);
+    transition(node, NodeHealth::Healthy, "warm-up complete", now);
+    journal_.record(now, JournalKind::JoinComplete, node, 0, 0,
+                    membershipEpoch_);
 }
 
 NodeHealth
@@ -365,9 +356,9 @@ Controller::takeNewlyFailed()
 
 RebuildReport
 Controller::rebuildReplicas(NodeId lost,
-                            std::vector<PlacementRef> &placements)
+                            std::vector<PlacementRef> &placements, Tick now)
 {
-    markFailed(lost);
+    markFailed(lost, now);
     RebuildReport report = migrate(lost, /*sourceAlive=*/false,
                                    placements);
     inform("controller: rebuild after node ", lost, " loss: ",
@@ -379,10 +370,10 @@ Controller::rebuildReplicas(NodeId lost,
 
 RebuildReport
 Controller::evacuateNode(NodeId node,
-                         std::vector<PlacementRef> &placements)
+                         std::vector<PlacementRef> &placements, Tick now)
 {
     if (health(node) == NodeHealth::Healthy)
-        drainNode(node);
+        drainNode(node, now);
     KONA_ASSERT(health(node) == NodeHealth::Draining,
                 "evacuating a node that is not draining");
     RebuildReport report = migrate(node, /*sourceAlive=*/true,

@@ -130,7 +130,7 @@ class Controller
     void registerNode(MemoryNode &node);
 
     /** Stop placing new slabs on @p node (decommission). */
-    void removeNode(NodeId node);
+    void removeNode(NodeId node, Tick now);
 
     /**
      * Allocate one slab as described by @p req: among the nodes that
@@ -173,18 +173,22 @@ class Controller
     std::size_t totalFree() const;
 
     // --- failure detection ------------------------------------------
+    //
+    // Every call that can change membership takes @p now: the app-clock
+    // time of the runtime whose operation caused it, which stamps the
+    // journal events it records.
 
     /** A compute node saw an op against @p node fail (drop/timeout). */
-    void reportOpFailure(NodeId node);
+    void reportOpFailure(NodeId node, Tick now);
 
     /** A compute node saw an op against @p node succeed. */
-    void reportOpSuccess(NodeId node);
+    void reportOpSuccess(NodeId node, Tick now);
 
     /** Declare @p node dead immediately (e.g. fabric says it's down). */
-    void markFailed(NodeId node);
+    void markFailed(NodeId node, Tick now);
 
     /** Stop new placements on @p node ahead of decommission. */
-    void drainNode(NodeId node);
+    void drainNode(NodeId node, Tick now);
 
     NodeHealth health(NodeId node) const;
 
@@ -207,11 +211,13 @@ class Controller
     void setFailureThreshold(std::uint32_t n) { failureThreshold_ = n; }
 
     /**
-     * Journal every membership event (health transitions, removals,
-     * drain/join lifecycle) into @p journal. nullptr detaches.
+     * The rack's one event journal: membership events (health
+     * transitions, removals, drain/join lifecycle) recorded here, plus
+     * every runtime's eviction events. Its counters register under
+     * this controller's scope as "journal.events_recorded/dropped".
      */
-    void setJournal(EventJournal *journal) { journal_ = journal; }
-    EventJournal *journal() const { return journal_; }
+    EventJournal &journal() { return journal_; }
+    const EventJournal &journal() const { return journal_; }
 
     /**
      * The inter-node coherence directory hosted at this controller
@@ -232,13 +238,13 @@ class Controller
     const HealthPolicy &healthPolicy() const { return healthPolicy_; }
 
     /** A demand fetch against @p node succeeded in @p latencyNs. */
-    void observeFetch(NodeId node, Tick latencyNs);
+    void observeFetch(NodeId node, Tick latencyNs, Tick now);
 
     /** The receiver NAKed a payload to @p node (CRC failure). */
-    void observeNak(NodeId node);
+    void observeNak(NodeId node, Tick now);
 
     /** An op against @p node timed out (counts like a failure). */
-    void observeTimeout(NodeId node);
+    void observeTimeout(NodeId node, Tick now);
 
     /** Current [0, 1] health score of @p node (0 = pristine). */
     double healthScore(NodeId node) const;
@@ -279,10 +285,10 @@ class Controller
      * placements or primary reads until completeJoin(); warm it first
      * via rebalanceOnto().
      */
-    void joinNode(MemoryNode &node);
+    void joinNode(MemoryNode &node, Tick now);
 
     /** Promote a Joining node to Healthy (warm-up finished). */
-    void completeJoin(NodeId node);
+    void completeJoin(NodeId node, Tick now);
 
     /**
      * Warm a hot-added node: migrate copies from the most-loaded live
@@ -303,7 +309,8 @@ class Controller
      * of the same slab), copying the bytes from a survivor.
      */
     RebuildReport rebuildReplicas(NodeId lost,
-                                  std::vector<PlacementRef> &placements);
+                                  std::vector<PlacementRef> &placements,
+                                  Tick now);
 
     /**
      * Graceful decommission: migrate every copy held by the (live,
@@ -311,7 +318,8 @@ class Controller
      * originals, so the node can be removed without data loss.
      */
     RebuildReport evacuateNode(NodeId node,
-                               std::vector<PlacementRef> &placements);
+                               std::vector<PlacementRef> &placements,
+                               Tick now);
 
     std::uint64_t nodesFailed() const { return nodesFailed_.value(); }
     std::uint64_t slabsRebuilt() const { return slabsRebuilt_.value(); }
@@ -355,13 +363,14 @@ class Controller
     /** Fold one observation into @p node's score, then re-evaluate
      *  the membership state machine. */
     void recordSample(NodeId node, double badness,
-                      std::optional<Tick> latencyNs);
+                      std::optional<Tick> latencyNs, Tick now);
 
     /** Score from the current EWMA state. */
     double scoreOf(const HealthScore &s) const;
 
     /** Move @p node to @p to, bumping the membership epoch. */
-    void transition(NodeId node, NodeHealth to, const char *reason);
+    void transition(NodeId node, NodeHealth to, const char *reason,
+                    Tick now);
 
     std::size_t slabSize_;
     MetricScope scope_;
@@ -380,7 +389,7 @@ class Controller
     HealthPolicy healthPolicy_;
     std::uint64_t membershipEpoch_ = 1;
     SlabId nextSlab_ = 1;
-    EventJournal *journal_ = nullptr;
+    EventJournal journal_;
     DirectoryService *directory_ = nullptr;
     Counter &slabsAllocated_;
     Counter &nodesFailed_;

@@ -63,9 +63,6 @@ class ParallelDriver
 
     ShardGate &gate() { return gate_; }
 
-    /** Canonical cross-shard event log (drain after run()). */
-    std::vector<GateRecord> canonicalLog() { return gate_.drainRecords(); }
-
   private:
     MultiRack &rack_;
     ShardGate gate_;

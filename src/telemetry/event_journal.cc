@@ -3,10 +3,9 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/stats.h"
-#include "telemetry/trace_session.h"
 
 namespace kona {
 
@@ -37,8 +36,8 @@ journalKindName(JournalKind kind)
 const char *
 journalHealthName(std::uint64_t state)
 {
-    // Mirrors rack::NodeHealth's declaration order (Controller keeps
-    // the authoritative copy; rack_test pins the two together).
+    // Follows NodeHealth's declaration order; the test
+    // EventJournal.HealthNamesPinControllerStateOrder pins the two.
     static const char *const names[] = {
         "healthy",    "suspect", "quarantined", "readmitted",
         "joining",    "draining", "failed",
@@ -47,17 +46,20 @@ journalHealthName(std::uint64_t state)
     return state < n ? names[state] : "unknown";
 }
 
-EventJournal::EventJournal(std::size_t capacity)
+EventJournal::EventJournal(std::size_t capacity, MetricScope scope)
+    : scope_(std::move(scope)),
+      recorded_(scope_.counter("events_recorded")),
+      dropped_(scope_.counter("events_dropped"))
 {
     ring_.resize(capacity == 0 ? 1 : capacity);
 }
 
 void
-EventJournal::record(JournalKind kind, NodeId node, std::uint64_t a,
-                     std::uint64_t b, std::uint64_t epoch)
+EventJournal::record(Tick ts, JournalKind kind, NodeId node,
+                     std::uint64_t a, std::uint64_t b, std::uint64_t epoch)
 {
     JournalEvent ev;
-    ev.ts = clock_ != nullptr ? clock_->now() : 0;
+    ev.ts = ts;
     ev.kind = kind;
     ev.node = node;
     ev.a = a;
@@ -70,33 +72,9 @@ EventJournal::record(JournalKind kind, NodeId node, std::uint64_t a,
     } else {
         ring_[head_] = ev;
         head_ = (head_ + 1) % ring_.size();
-        ++dropped_;
-        if (droppedCounter_ != nullptr)
-            droppedCounter_->add();
+        dropped_.add();
     }
-    ++recorded_;
-    if (recordedCounter_ != nullptr)
-        recordedCounter_->add();
-
-    // Mirror as a Chrome-trace instant so journal entries show up as
-    // markers on the span timeline. Allocates (trace args), so only
-    // when someone is actually tracing.
-    if (trace_ != nullptr && trace_->enabled()) {
-        TraceEvent tev;
-        tev.name = journalKindName(kind);
-        tev.cat = "journal";
-        tev.ts = ev.ts;
-        tev.tid = traceAppThread;
-        tev.ph = 'i';
-        tev.args.emplace_back("node", node);
-        if (kind == JournalKind::HealthTransition) {
-            tev.args.emplace_back("from", journalHealthName(a));
-            tev.args.emplace_back("to", journalHealthName(b));
-        }
-        if (epoch != 0)
-            tev.args.emplace_back("epoch", epoch);
-        trace_->record(std::move(tev));
-    }
+    recorded_.add();
 }
 
 const JournalEvent &
@@ -120,7 +98,15 @@ void
 EventJournal::writeEventJson(std::ostream &os, const JournalEvent &e)
 {
     os << "{\"ts_ns\": " << e.ts << ", \"event\": \""
-       << journalKindName(e.kind) << "\", \"node\": " << e.node;
+       << journalKindName(e.kind) << "\", ";
+    writeEventFields(os, e);
+    os << "}";
+}
+
+void
+EventJournal::writeEventFields(std::ostream &os, const JournalEvent &e)
+{
+    os << "\"node\": " << e.node;
     switch (e.kind) {
     case JournalKind::HealthTransition:
         os << ", \"from\": \"" << journalHealthName(e.a) << "\", \"to\": \""
@@ -143,7 +129,6 @@ EventJournal::writeEventJson(std::ostream &os, const JournalEvent &e)
     }
     if (e.epoch != 0)
         os << ", \"epoch\": " << e.epoch;
-    os << "}";
 }
 
 void
@@ -188,15 +173,6 @@ EventJournal::writeJsonlFile(const std::string &path) const
         return false;
     }
     return true;
-}
-
-void
-EventJournal::clear()
-{
-    head_ = 0;
-    size_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
 }
 
 } // namespace kona

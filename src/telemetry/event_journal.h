@@ -16,14 +16,16 @@
  *    allocates (PR 5's --strict-alloc covers runs with the journal on);
  *  - when full, the oldest event is overwritten and a dropped count
  *    (surfaced as a registry counter) makes the truncation visible;
- *  - events are POD (kind + node + two payload words + epoch), with the
- *    JSONL writer knowing each kind's field names.
+ *  - events are POD (kind + node + two payload words + epoch), with one
+ *    per-kind field writer (writeEventFields) shared by the JSONL export
+ *    and the Chrome-trace instants a TraceSession writes at export.
  *
- * Each event is optionally mirrored into a TraceSession as a Chrome
- * trace *instant* event so journal entries appear as markers on the
- * span timeline in chrome://tracing / Perfetto. Mirroring only happens
- * while tracing is enabled, so benches that run with tracing off pay a
- * single branch.
+ * A rack keeps exactly one journal, owned by its Controller. Every
+ * event carries the time its caller passes in: the app-clock now() of
+ * the runtime whose operation caused it. The journal reads no clock of
+ * its own, so under the parallel engine no shard reads another shard's
+ * clock, and since every record happens inside a gated section the
+ * journal is in canonical order at every thread count.
  */
 
 #ifndef KONA_TELEMETRY_EVENT_JOURNAL_H
@@ -35,13 +37,10 @@
 #include <string>
 #include <vector>
 
-#include "common/sim_clock.h"
 #include "common/types.h"
+#include "telemetry/metric_registry.h"
 
 namespace kona {
-
-class Counter;
-class TraceSession;
 
 /** What happened. Payload words a/b are kind-specific (see the table
  *  in journalKindName()'s implementation / the JSONL writer). */
@@ -61,7 +60,7 @@ enum class JournalKind : std::uint8_t {
 const char *journalKindName(JournalKind kind);
 
 /** Name of a NodeHealth enum value as stored in a HealthTransition
- *  payload. Mirrors Controller's state names. */
+ *  payload: the one state-name table (the Controller logs with it). */
 const char *journalHealthName(std::uint64_t state);
 
 /** One journal entry. */
@@ -79,33 +78,22 @@ struct JournalEvent
 class EventJournal
 {
   public:
-    explicit EventJournal(std::size_t capacity = 4096);
+    /** @param scope Receives the events_recorded/events_dropped
+     *         counters. */
+    explicit EventJournal(std::size_t capacity = 4096,
+                          MetricScope scope = {});
 
-    /** Timestamps come from @p clock (the owning runtime's app clock). */
-    void setClock(const SimClock *clock) { clock_ = clock; }
-
-    /** Mirror events as Chrome-trace instants into @p trace (only while
-     *  the session is enabled). */
-    void setTraceSession(TraceSession *trace) { trace_ = trace; }
-
-    /** Surface recorded/dropped as registry counters (either may be
-     *  nullptr to skip). */
-    void bindCounters(Counter *recorded, Counter *dropped)
-    {
-        recordedCounter_ = recorded;
-        droppedCounter_ = dropped;
-    }
-
-    /** Append an event; overwrites the oldest when full. Never
-     *  allocates. */
-    void record(JournalKind kind, NodeId node, std::uint64_t a = 0,
-                std::uint64_t b = 0, std::uint64_t epoch = 0);
+    /** Append an event stamped @p ts (the causing runtime's app-clock
+     *  time); overwrites the oldest when full. Never allocates. */
+    void record(Tick ts, JournalKind kind, NodeId node,
+                std::uint64_t a = 0, std::uint64_t b = 0,
+                std::uint64_t epoch = 0);
 
     std::size_t capacity() const { return ring_.size(); }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::uint64_t recorded() const { return recorded_; }
-    std::uint64_t dropped() const { return dropped_; }
+    std::uint64_t recorded() const { return recorded_.value(); }
+    std::uint64_t dropped() const { return dropped_.value(); }
 
     /** The @p i-th retained event, oldest first. */
     const JournalEvent &event(std::size_t i) const;
@@ -125,18 +113,17 @@ class EventJournal
     /** One event as a JSON object (no trailing newline). */
     static void writeEventJson(std::ostream &os, const JournalEvent &e);
 
-    void clear();
+    /** The event's fields after its time and kind: "node", the
+     *  kind-specific payload names, and "epoch" when set. */
+    static void writeEventFields(std::ostream &os, const JournalEvent &e);
 
   private:
     std::vector<JournalEvent> ring_;
     std::size_t head_ = 0; ///< index of the oldest retained event
     std::size_t size_ = 0;
-    std::uint64_t recorded_ = 0;
-    std::uint64_t dropped_ = 0;
-    const SimClock *clock_ = nullptr;
-    TraceSession *trace_ = nullptr;
-    Counter *recordedCounter_ = nullptr;
-    Counter *droppedCounter_ = nullptr;
+    MetricScope scope_; ///< keeps the counters' registry alive
+    Counter &recorded_;
+    Counter &dropped_;
 };
 
 } // namespace kona

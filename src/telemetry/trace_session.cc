@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "telemetry/event_journal.h"
 #include "telemetry/metric_registry.h"
 
 namespace kona {
@@ -148,7 +149,10 @@ TraceSession::writeJson(std::ostream &os) const
        << "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
           "\"tid\": 0, \"args\": {\"name\": \"kona-sim\"}}";
     first = false;
+    const bool instants = journal_ != nullptr && !journal_->empty();
     std::vector<std::uint32_t> tids;
+    if (instants)
+        tids.push_back(traceAppThread);
     for (const TraceEvent &ev : events_) {
         if (std::find(tids.begin(), tids.end(), ev.tid) == tids.end())
             tids.push_back(ev.tid);
@@ -170,17 +174,11 @@ TraceSession::writeJson(std::ostream &os) const
 
     for (const TraceEvent &ev : snapshot()) {
         os << ",\n    {\"name\": \"" << jsonEscape(ev.name)
-           << "\", \"cat\": \"" << jsonEscape(ev.cat) << "\", \"ph\": \""
-           << ev.ph << "\", \"ts\": ";
+           << "\", \"cat\": \"" << jsonEscape(ev.cat)
+           << "\", \"ph\": \"X\", \"ts\": ";
         writeMicros(os, ev.ts);
-        if (ev.ph == 'i') {
-            // Instant events carry a scope instead of a duration;
-            // "t" pins the marker to its thread lane.
-            os << ", \"s\": \"t\"";
-        } else {
-            os << ", \"dur\": ";
-            writeMicros(os, ev.dur);
-        }
+        os << ", \"dur\": ";
+        writeMicros(os, ev.dur);
         os << ", \"pid\": 1, \"tid\": " << ev.tid;
         if (!ev.args.empty()) {
             os << ", \"args\": {";
@@ -198,6 +196,18 @@ TraceSession::writeJson(std::ostream &os) const
             os << "}";
         }
         os << "}";
+    }
+    // Instants carry a scope instead of a duration; "t" pins each
+    // marker to the app lane.
+    for (std::size_t i = 0; instants && i < journal_->size(); ++i) {
+        const JournalEvent &e = journal_->event(i);
+        os << ",\n    {\"name\": \"" << journalKindName(e.kind)
+           << "\", \"cat\": \"journal\", \"ph\": \"i\", \"ts\": ";
+        writeMicros(os, e.ts);
+        os << ", \"s\": \"t\", \"pid\": 1, \"tid\": " << traceAppThread
+           << ", \"args\": {";
+        EventJournal::writeEventFields(os, e);
+        os << "}}";
     }
     os << "\n  ],\n  \"otherData\": {\"droppedEvents\": " << dropped_
        << "}\n}\n";

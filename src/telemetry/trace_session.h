@@ -20,6 +20,12 @@
  * Tracing is off by default; a disabled session makes Span
  * construction a pointer check with no allocation, so instrumented hot
  * paths stay hot.
+ *
+ * The ring holds spans only. A session may also point at its rack's
+ * EventJournal (setJournal); writeJson() then appends every retained
+ * journal event as a Chrome instant ("ph":"i") on the app lane, so
+ * membership and eviction events show as markers on the span timeline
+ * without a second copy of them being kept while the run goes.
  */
 
 #ifndef KONA_TELEMETRY_TRACE_SESSION_H
@@ -36,6 +42,7 @@
 namespace kona {
 
 class Counter;
+class EventJournal;
 
 /** Logical sim-thread ids used as Chrome trace "tid"s. */
 constexpr std::uint32_t traceAppThread = 1;        ///< app critical path
@@ -59,17 +66,14 @@ struct TraceArg
     const char *text = nullptr;    ///< static string value (not owned)
 };
 
-/** One trace event: a complete span ("ph":"X", the default) or an
- *  instant marker ("ph":"i", used by the event journal mirror). Times
- *  in simulated ns. */
+/** One complete span ("ph":"X"). Times in simulated ns. */
 struct TraceEvent
 {
     const char *name = "";  ///< string literal (not owned)
     const char *cat = "";   ///< string literal (not owned)
     Tick ts = 0;
-    Tick dur = 0;           ///< ignored for instants
+    Tick dur = 0;
     std::uint32_t tid = traceAppThread;
-    char ph = 'X';          ///< 'X' complete span, 'i' instant
     std::vector<TraceArg> args;
 };
 
@@ -106,6 +110,10 @@ class TraceSession
         droppedCounter_ = counter;
     }
 
+    /** Write @p journal's retained events as instants in every JSON
+     *  export, crash dumps included (nullptr: spans only). */
+    void setJournal(const EventJournal *journal) { journal_ = journal; }
+
     /**
      * Dump the ring to @p path automatically when panic() or fatal()
      * fires (the crash hook covers every live session that set a
@@ -114,10 +122,11 @@ class TraceSession
     void setCrashDumpPath(std::string path);
     const std::string &crashDumpPath() const { return crashDumpPath_; }
 
-    /** Events in record order (oldest first). */
+    /** Spans in record order (oldest first). */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Chrome trace-event JSON ({"traceEvents": [...]}). */
+    /** Chrome trace-event JSON ({"traceEvents": [...]}): the spans,
+     *  then one instant per retained journal event. */
     void writeJson(std::ostream &os) const;
     std::string toJson() const;
 
@@ -131,6 +140,7 @@ class TraceSession
     std::vector<TraceEvent> events_; ///< ring storage (<= capacity_)
     std::uint64_t dropped_ = 0;
     Counter *droppedCounter_ = nullptr;
+    const EventJournal *journal_ = nullptr;
     std::string crashDumpPath_;
 };
 

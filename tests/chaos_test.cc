@@ -167,14 +167,14 @@ TEST(ControllerHealthMachine, FailuresWalkTheFullCycle)
     // membership epoch advancing monotonically at each transition.
     std::uint64_t epoch = c.membershipEpoch();
     while (c.health(1) != NodeHealth::Suspect)
-        c.reportOpFailure(1);
+        c.reportOpFailure(1, 0);
     EXPECT_GT(c.membershipEpoch(), epoch);
     epoch = c.membershipEpoch();
     EXPECT_TRUE(c.avoidForReads(1));
     EXPECT_FALSE(c.takesPlacements(1));
 
     while (c.health(1) != NodeHealth::Quarantined)
-        c.reportOpFailure(1);
+        c.reportOpFailure(1, 0);
     EXPECT_GT(c.membershipEpoch(), epoch);
     epoch = c.membershipEpoch();
     EXPECT_TRUE(c.avoidForReads(1));
@@ -183,14 +183,14 @@ TEST(ControllerHealthMachine, FailuresWalkTheFullCycle)
     // Recovery: scores decay on successes -> Readmitted on probation
     // (placements allowed again), then Healthy once probation serves.
     while (c.health(1) != NodeHealth::Readmitted)
-        c.reportOpSuccess(1);
+        c.reportOpSuccess(1, 0);
     EXPECT_GT(c.membershipEpoch(), epoch);
     epoch = c.membershipEpoch();
     EXPECT_FALSE(c.avoidForReads(1));
     EXPECT_TRUE(c.takesPlacements(1));
 
     while (c.health(1) != NodeHealth::Healthy)
-        c.reportOpSuccess(1);
+        c.reportOpSuccess(1, 0);
     EXPECT_GT(c.membershipEpoch(), epoch);
     EXPECT_EQ(c.nodesSuspected(), 1u);
     EXPECT_EQ(c.nodesReadmitted(), 1u);
@@ -204,7 +204,7 @@ TEST(ControllerHealthMachine, LatencyAloneTripsSuspect)
     // 40us budget and 4x slack, a sustained 300us EWMA maxes the
     // latency score even though badness stays zero.
     for (int i = 0; i < 32 && c.health(1) == NodeHealth::Healthy; ++i)
-        c.observeFetch(1, 300'000);
+        c.observeFetch(1, 300'000, 0);
     EXPECT_TRUE(c.health(1) == NodeHealth::Suspect ||
                 c.health(1) == NodeHealth::Quarantined);
     EXPECT_GE(c.healthScore(1), 0.5);
@@ -215,7 +215,7 @@ TEST(ControllerHealthMachine, QuarantinedNodeTakesNoPlacements)
     HealthRig rig;
     Controller &c = rig.controller;
     while (c.health(2) != NodeHealth::Quarantined)
-        c.reportOpFailure(2);
+        c.reportOpFailure(2, 0);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(c.allocateSlab(PlacementRequest{})->where.node, 1u);
     EXPECT_TRUE(c.allocateSlab(PlacementRequest{.avoid = {1}}) ==
@@ -226,8 +226,8 @@ TEST(ControllerHealthMachine, NakIsSofterEvidenceThanTimeout)
 {
     HealthRig rig;
     Controller &c = rig.controller;
-    c.observeNak(1);
-    c.observeTimeout(2);
+    c.observeNak(1, 0);
+    c.observeTimeout(2, 0);
     EXPECT_GT(c.healthScore(2), c.healthScore(1));
     EXPECT_GT(c.healthScore(1), 0.0);
 }

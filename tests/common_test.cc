@@ -289,48 +289,6 @@ TEST(IntDistribution, QuantileEdgeCases)
     EXPECT_THROW(empty.quantile(0.5), PanicError);
 }
 
-TEST(IntDistribution, CdfPointsMonotone)
-{
-    IntDistribution dist;
-    Rng rng(19);
-    for (int i = 0; i < 1000; ++i)
-        dist.record(rng.below(64) + 1);
-    auto points = dist.cdfPoints(1, 64);
-    ASSERT_EQ(points.size(), 64u);
-    double prev = 0.0;
-    for (const auto &[value, frac] : points) {
-        EXPECT_GE(frac, prev);
-        prev = frac;
-    }
-    EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
-TEST(WindowedSeries, MeansAndTrim)
-{
-    WindowedSeries series;
-    EXPECT_DOUBLE_EQ(series.mean(), 0.0);
-    for (double v : {10.0, 2.0, 2.0, 2.0, 30.0})
-        series.append(v);
-    EXPECT_DOUBLE_EQ(series.mean(), 46.0 / 5);
-    EXPECT_DOUBLE_EQ(series.trimmedMean(1, 1), 2.0);
-    EXPECT_DOUBLE_EQ(series.min(), 2.0);
-    EXPECT_DOUBLE_EQ(series.max(), 30.0);
-}
-
-TEST(WindowedSeries, EmptySeriesMinMaxAreZero)
-{
-    WindowedSeries series;
-    EXPECT_DOUBLE_EQ(series.min(), 0.0);
-    EXPECT_DOUBLE_EQ(series.max(), 0.0);
-}
-
-TEST(Stats, GeometricMean)
-{
-    EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
-    EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-9);
-    EXPECT_NEAR(geometricMean({3.0, 3.0, 3.0}), 3.0, 1e-9);
-}
-
 TEST(Latency, PersonalityLatencies)
 {
     LatencyConfig lat;

@@ -537,13 +537,13 @@ TEST(ControllerHealth, ConsecutiveFailuresDeclareDeath)
     controller.registerNode(b);
 
     for (int i = 0; i < 4; ++i)
-        controller.reportOpFailure(1);
+        controller.reportOpFailure(1, 0);
     EXPECT_EQ(controller.health(1), NodeHealth::Healthy);
-    controller.reportOpSuccess(1);   // resets the streak
+    controller.reportOpSuccess(1, 0);   // resets the streak
     for (int i = 0; i < 4; ++i)
-        controller.reportOpFailure(1);
+        controller.reportOpFailure(1, 0);
     EXPECT_EQ(controller.health(1), NodeHealth::Healthy);
-    controller.reportOpFailure(1);   // fifth consecutive
+    controller.reportOpFailure(1, 0);   // fifth consecutive
     EXPECT_EQ(controller.health(1), NodeHealth::Failed);
     EXPECT_EQ(controller.nodesFailed(), 1u);
     EXPECT_EQ(controller.healthyNodeCount(), 1u);
@@ -567,7 +567,7 @@ TEST(ControllerHealth, DrainingNodeTakesNoNewSlabs)
     MemoryNode a(fabric, 1, 16 * MiB), b(fabric, 2, 16 * MiB);
     controller.registerNode(a);
     controller.registerNode(b);
-    controller.drainNode(1);
+    controller.drainNode(1, 0);
     EXPECT_EQ(controller.health(1), NodeHealth::Draining);
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(

@@ -2,8 +2,9 @@
  * @file
  * PR 7 observability tests: the sim-time TimeSeriesSampler (window
  * deltas, ring wraparound), the structured EventJournal (ring,
- * JSONL, health-name pinning), tail-latency attribution (exact
- * sum==total, residual bucketing, slowest-1% slice), and the journal /
+ * JSONL, health-name pinning, counters, trace instants), tail-latency
+ * attribution (exact sum==total, residual bucketing, slowest-1%
+ * slice), and the journal /
  * attribution behavior of a full chaos run.
  */
 
@@ -18,6 +19,7 @@
 #include "telemetry/event_journal.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
+#include "telemetry/trace_session.h"
 
 namespace kona {
 namespace {
@@ -128,13 +130,10 @@ TEST(TimeSeries, CsvAndJsonCarryEveryWindow)
 
 TEST(EventJournal, RingOverwritesOldestAndCountsDrops)
 {
-    SimClock clock;
     EventJournal journal(/*capacity=*/3);
-    journal.setClock(&clock);
-    for (std::uint64_t i = 0; i < 5; ++i) {
-        clock.advance(10);
-        journal.record(JournalKind::RingFullStall, NodeId{1}, i);
-    }
+    for (std::uint64_t i = 0; i < 5; ++i)
+        journal.record(/*ts=*/10 * (i + 1), JournalKind::RingFullStall,
+                       NodeId{1}, i);
     EXPECT_EQ(journal.size(), 3u);
     EXPECT_EQ(journal.recorded(), 5u);
     EXPECT_EQ(journal.dropped(), 2u);
@@ -172,16 +171,13 @@ TEST(EventJournal, HealthNamesPinControllerStateOrder)
 
 TEST(EventJournal, JsonlDecodesKindSpecificFields)
 {
-    SimClock clock;
     EventJournal journal(8);
-    journal.setClock(&clock);
-    clock.advance(42);
-    journal.record(JournalKind::HealthTransition, NodeId{2},
+    journal.record(/*ts=*/42, JournalKind::HealthTransition, NodeId{2},
                    static_cast<std::uint64_t>(NodeHealth::Healthy),
                    static_cast<std::uint64_t>(NodeHealth::Suspect),
                    /*epoch=*/7);
-    journal.record(JournalKind::StaleHomeMark, NodeId{3}, /*vpn=*/99,
-                   /*mask=*/0xff);
+    journal.record(/*ts=*/42, JournalKind::StaleHomeMark, NodeId{3},
+                   /*vpn=*/99, /*mask=*/0xff);
 
     std::string jsonl = journal.toJsonl();
     EXPECT_NE(jsonl.find("\"event\": \"health_transition\""),
@@ -193,6 +189,49 @@ TEST(EventJournal, JsonlDecodesKindSpecificFields)
     EXPECT_NE(jsonl.find("\"event\": \"stale_home_mark\""),
               std::string::npos);
     EXPECT_NE(jsonl.find("\"vpn\": 99"), std::string::npos);
+}
+
+TEST(EventJournal, CountsUnderItsScope)
+{
+    auto registry = std::make_shared<MetricRegistry>();
+    EventJournal journal(/*capacity=*/1,
+                         MetricScope(registry, "rack.journal"));
+    journal.record(/*ts=*/1, JournalKind::JoinStart, NodeId{4});
+    journal.record(/*ts=*/2, JournalKind::JoinComplete, NodeId{4});
+    EXPECT_EQ(registry->counter("rack.journal.events_recorded").value(),
+              2u);
+    EXPECT_EQ(registry->counter("rack.journal.events_dropped").value(),
+              1u);
+}
+
+TEST(EventJournal, TraceWritesEveryFieldAsAnInstant)
+{
+    // The trace keeps no copy of the journal: it writes the retained
+    // events at export with the JSONL export's field writer, so the
+    // kind-specific payloads (vpn/mask, batch/sends) reach the trace.
+    EventJournal journal(4);
+    journal.record(/*ts=*/1500, JournalKind::StaleHomeMark, NodeId{3},
+                   /*vpn=*/99, /*mask=*/0xff);
+    journal.record(/*ts=*/2500, JournalKind::RetriesExhausted, NodeId{2},
+                   /*batch=*/7, /*sends=*/5);
+    TraceSession session;
+    EXPECT_EQ(session.toJson().find("\"ph\": \"i\""), std::string::npos);
+    session.setJournal(&journal);
+    std::string json = session.toJson();
+    EXPECT_EQ(session.size(), 0u);
+    EXPECT_NE(json.find("{\"name\": \"stale_home_mark\", \"cat\": "
+                        "\"journal\", \"ph\": \"i\", \"ts\": 1.500, "
+                        "\"s\": \"t\", \"pid\": 1, \"tid\": 1, "
+                        "\"args\": {\"node\": 3, \"vpn\": 99, "
+                        "\"mask\": 255}}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"args\": {\"node\": 2, \"batch\": 7, "
+                        "\"sends\": 5}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"name\": \"app critical path\""),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -7,15 +7,20 @@
  * through ParallelDriver at ANY shard-concurrency cap produces a run
  * that is indistinguishable from the t=1 reference schedule — the
  * metric registry's full fingerprint, the final bytes of every span,
- * the canonical cross-shard event log, and every runtime's journal
- * sequence must all match exactly. The matrix covers five seeds, four
+ * the gate's hash of every granted cross-shard section, and the rack
+ * journal must all match exactly. The matrix covers five seeds, four
  * thread counts, and six workload shapes: sequential, strided,
  * uniform-random, eviction-heavy pointer chase, the coherence litmus
  * suite replayed through scripted gate sections, and a random mix
  * under a deterministic partial partition with replication failover.
+ * The rack-journal tests pin who stamps an event: the runtime whose
+ * operation caused it, on its own app clock.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
 
 #include "coherence/litmus.h"
 #include "common/rng.h"
@@ -59,7 +64,7 @@ struct Signature
 {
     std::uint64_t fingerprint = 0; ///< MetricRegistry::fingerprint()
     std::uint64_t content = 0;     ///< bytes of every span, in order
-    std::uint64_t events = 0;      ///< canonical log + runtime journals
+    std::uint64_t events = 0;      ///< grant hash + rack journal
 
     bool operator==(const Signature &) const = default;
 };
@@ -79,6 +84,31 @@ mixName(Mix mix)
     return "?";
 }
 
+/** The chaos rack: one replica per slab and WaitRetry, so an op a
+ *  partition fails falls over to the other copy. */
+MultiRackConfig
+chaosRack()
+{
+    MultiRackConfig cfg = smallRack(3);
+    cfg.runtime.replicationFactor = 1;
+    cfg.runtime.failurePolicy = FailurePolicy::WaitRetry;
+    return cfg;
+}
+
+/**
+ * Deterministic partial partition: memory node 2 never answers compute
+ * node 101 (timeouts, not probabilistic drops), so fetches and
+ * writebacks fail over to replicas. The failure detector is parked —
+ * fail-stop rebuilds are outside the bit-identity contract.
+ */
+void
+partitionNode2(MultiRack &rack)
+{
+    rack.controller().setFailureThreshold(1'000'000);
+    rack.faults().profile(2).blockedSources.push_back(
+        MultiRack::firstComputeNode);
+}
+
 /**
  * One full run of @p mix at @p threads: fresh rack, one private span
  * per compute node, the mix's access program on every shard, then the
@@ -89,22 +119,9 @@ mixName(Mix mix)
 Signature
 runMix(Mix mix, std::uint64_t seed, unsigned threads)
 {
-    MultiRackConfig cfg = smallRack(3);
-    if (mix == Mix::Chaos) {
-        cfg.runtime.replicationFactor = 1;
-        cfg.runtime.failurePolicy = FailurePolicy::WaitRetry;
-    }
-    MultiRack rack(cfg);
-    if (mix == Mix::Chaos) {
-        // Deterministic partial partition: memory node 2 never
-        // answers compute node 101 (timeouts, not probabilistic
-        // drops), so fetches and writebacks fail over to replicas.
-        // The failure detector is parked — fail-stop rebuilds are
-        // outside the bit-identity contract.
-        rack.controller().setFailureThreshold(1'000'000);
-        rack.faults().profile(2).blockedSources.push_back(
-            MultiRack::firstComputeNode);
-    }
+    MultiRack rack(mix == Mix::Chaos ? chaosRack() : smallRack(3));
+    if (mix == Mix::Chaos)
+        partitionNode2(rack);
 
     const std::size_t span = mix == Mix::Graph ? 12 * MiB : 1 * MiB;
     const std::uint64_t ops = mix == Mix::Graph ? 1'200 : 3'000;
@@ -183,25 +200,16 @@ runMix(Mix mix, std::uint64_t seed, unsigned threads)
         });
 
         sig.fingerprint = rack.metrics()->fingerprint();
-        for (const GateRecord &rec : driver.canonicalLog()) {
-            h = fnvMix(h, rec.key.stamp);
-            h = fnvMix(h, rec.key.shard);
-            h = fnvMix(h, rec.key.seq);
-            h = fnvMix(h, static_cast<std::uint64_t>(rec.kind));
-        }
-        h = fnvMix(h, driver.gate().recordsDropped());
+        h = fnvMix(h, driver.gate().grantHash());
     } // detach the gate before the main-thread readback below
 
-    for (std::size_t i = 0; i < rack.runtimeCount(); ++i) {
-        for (const JournalEvent &ev :
-             rack.runtime(i).eventJournal()->snapshot()) {
-            h = fnvMix(h, ev.ts);
-            h = fnvMix(h, static_cast<std::uint64_t>(ev.kind));
-            h = fnvMix(h, ev.node);
-            h = fnvMix(h, ev.a);
-            h = fnvMix(h, ev.b);
-            h = fnvMix(h, ev.epoch);
-        }
+    for (const JournalEvent &ev : rack.controller().journal().snapshot()) {
+        h = fnvMix(h, ev.ts);
+        h = fnvMix(h, static_cast<std::uint64_t>(ev.kind));
+        h = fnvMix(h, ev.node);
+        h = fnvMix(h, ev.a);
+        h = fnvMix(h, ev.b);
+        h = fnvMix(h, ev.epoch);
     }
     sig.events = h;
 
@@ -337,6 +345,104 @@ TEST(ParallelIdentityGate, SingleShardMatchesUngated)
 
     EXPECT_EQ(gated, ungated)
         << "gate sections changed the simulation, not just its order";
+}
+
+// ---------------------------------------------------------------------
+// The rack journal
+// ---------------------------------------------------------------------
+
+constexpr std::size_t kProbeSpan = 12 * MiB; ///< > the 8 MiB of FMem
+constexpr std::uint64_t kProbeOps = 3'000;
+
+/**
+ * The journal probe: the chaos mix over a span larger than FMem (touch
+ * every page, then random 8 B ops, 30% writes). On the partitioned
+ * chaos rack, node 101's fetches and evictions keep timing out against
+ * node 2, and its health score walks it out of Healthy.
+ */
+void
+probeProgram(KonaRuntime &rt, Addr base, std::uint64_t seed)
+{
+    std::vector<std::uint8_t> page(pageSize);
+    for (std::size_t off = 0; off < kProbeSpan; off += pageSize)
+        rt.read(base + off, page.data(), pageSize);
+    Rng rng(seed);
+    std::uint64_t buf = 0;
+    for (std::uint64_t i = 0; i < kProbeOps; ++i) {
+        Addr addr = base + rng.below(kProbeSpan / 8) * 8;
+        if (rng.chance(0.3)) {
+            buf = i;
+            rt.write(addr, &buf, sizeof(buf));
+        } else {
+            rt.read(addr, &buf, sizeof(buf));
+        }
+    }
+}
+
+std::size_t
+node2Transitions(const std::vector<JournalEvent> &events)
+{
+    return std::count_if(
+        events.begin(), events.end(), [](const JournalEvent &ev) {
+            return ev.kind == JournalKind::HealthTransition &&
+                   ev.node == 2;
+        });
+}
+
+/**
+ * Only node 101 runs, so only its app clock may stamp node 2's
+ * transitions; the rack's one journal, at the Controller, holds them.
+ */
+TEST(RackJournal, StampedByTheRuntimeThatCausedTheEvent)
+{
+    MultiRack rack(chaosRack());
+    partitionNode2(rack);
+    KonaRuntime &driven = rack.runtime(0);
+    probeProgram(driven, driven.allocate(kProbeSpan, pageSize), 1);
+
+    std::vector<JournalEvent> events =
+        rack.controller().journal().snapshot();
+    EXPECT_GE(node2Transitions(events), 2u)
+        << "node 2 should go healthy -> suspect -> quarantined";
+    for (const JournalEvent &ev : events) {
+        if (ev.kind != JournalKind::HealthTransition || ev.node != 2)
+            continue;
+        EXPECT_GT(ev.ts, rack.runtime(2).appTime());
+        EXPECT_LE(ev.ts, driven.appTime());
+    }
+}
+
+/**
+ * Every shard runs the probe: the rack journal, timestamps included,
+ * must be the t=1 journal at t=4 (no stamp may come from another
+ * shard's clock, and every record happens in canonical order).
+ */
+TEST(RackJournal, IdenticalAcrossThreadCounts)
+{
+    auto journalAt = [](unsigned threads) {
+        MultiRack rack(chaosRack());
+        partitionNode2(rack);
+        std::vector<Addr> bases;
+        for (std::size_t i = 0; i < rack.runtimeCount(); ++i)
+            bases.push_back(rack.runtime(i).allocate(kProbeSpan, pageSize));
+        {
+            ParallelDriver driver(rack, threads);
+            driver.run([&](std::size_t shard, KonaRuntime &rt) {
+                probeProgram(rt, bases[shard], shard + 1);
+            });
+        }
+        return rack.controller().journal().snapshot();
+    };
+    auto jsonl = [](const std::vector<JournalEvent> &events) {
+        std::ostringstream os;
+        EventJournal::writeEventsJsonl(os, events);
+        return os.str();
+    };
+
+    std::vector<JournalEvent> reference = journalAt(1);
+    ASSERT_GE(node2Transitions(reference), 1u);
+    for (int run = 0; run < 3; ++run)
+        EXPECT_EQ(jsonl(journalAt(4)), jsonl(reference)) << "run " << run;
 }
 
 } // namespace

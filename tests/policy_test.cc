@@ -370,7 +370,7 @@ TEST_F(PlacementFixture, HealthDiscountsShakyNodes)
     lenient.quarantineThreshold = 3.0;  // never transitions
     rack.controller.setHealthPolicy(lenient);
     for (int i = 0; i < 32; ++i)
-        rack.controller.observeNak(12);
+        rack.controller.observeNak(12, 0);
     EXPECT_GT(rack.controller.healthScore(12), 0.5);
     EXPECT_EQ(rack.controller.health(12), NodeHealth::Healthy);
     EXPECT_EQ(rack.controller.allocateSlab(PlacementRequest{})
@@ -403,7 +403,7 @@ TEST_F(PlacementFixture, PinToBypassesPolicyAndHealthFilter)
               10u);
     // A draining node takes no policy placements but still accepts
     // pinned ones (rebalance onto joining nodes relies on this).
-    rack.controller.drainNode(11);
+    rack.controller.drainNode(11, 0);
     std::vector<NodeId> where = rack.allocateRun(12);
     EXPECT_EQ(std::count(where.begin(), where.end(), 11u), 0);
     EXPECT_EQ(rack.controller.allocateSlab(PlacementRequest{.pinTo = 11})

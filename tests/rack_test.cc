@@ -124,7 +124,7 @@ TEST_F(RackFixture, ExhaustionIsFatal)
 
 TEST_F(RackFixture, RemovedNodeReceivesNoSlabs)
 {
-    controller.removeNode(10);
+    controller.removeNode(10, 0);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(controller.allocateSlab(PlacementRequest{})->where.node,
                   11u);
