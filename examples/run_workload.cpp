@@ -63,7 +63,12 @@
  *                        @path to a scenario file (format documented
  *                        in src/chaos/chaos_scenario.h). Reports tail
  *                        latency, availability, membership epochs and
- *                        the content-oracle verdict.
+ *                        the content-oracle verdict. Honours
+ *                        --metrics-json=, --timeseries-out= and
+ *                        --events-out=; the scenario fixes the
+ *                        stack, so --trace-out=, --prefetch=,
+ *                        --victim=, --placement=, --tiering= and
+ *                        --evict-depth= exit 2
  *   --chaos-seed=N       fault-injector seed for --chaos (default
  *                        0x5eed); the run is deterministic from
  *                        (scenario, seed)
@@ -83,6 +88,7 @@
 #include <iostream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "chaos/chaos_runner.h"
 #include "chaos/chaos_scenario.h"
@@ -189,17 +195,52 @@ printAttributionTables(KonaRuntime &kona)
         std::cout, "eviction-shipment latency attribution");
 }
 
+/** All the --flag= values of one invocation. */
+struct Flags
+{
+    std::string metricsJson;
+    std::string traceOut;
+    std::string prefetch;
+    std::string victim;
+    std::string placement;
+    std::string tiering;
+    std::size_t evictDepth = 0;   ///< 0: not given (depth 1)
+    std::string chaos;
+    std::uint64_t chaosSeed = 0x5eedULL;
+    std::string timeseriesOut;
+    Tick timeseriesIntervalNs = 1'000'000;
+    std::string eventsOut;
+};
+
 /** The --chaos= mode: one scripted run plus its fault-free oracle. */
 int
-runChaosMode(const std::string &spec, std::uint64_t seed,
-             const std::string &timeseriesOut, Tick timeseriesIntervalNs,
-             const std::string &eventsOut)
+runChaosMode(const Flags &flags)
 {
-    ChaosScenario scenario = resolveChaosScenario(spec);
+    // The scenario fixes the rack, the runtime and its policies, and
+    // the runner records no trace: refuse what it cannot honour.
+    const std::pair<const char *, bool> unsupported[] = {
+        {"--trace-out=", !flags.traceOut.empty()},
+        {"--prefetch=", !flags.prefetch.empty()},
+        {"--victim=", !flags.victim.empty()},
+        {"--placement=", !flags.placement.empty()},
+        {"--tiering=", !flags.tiering.empty()},
+        {"--evict-depth=", flags.evictDepth != 0},
+    };
+    for (const auto &[flag, given] : unsupported) {
+        if (given) {
+            std::fprintf(stderr, "%s does not apply to --chaos= runs\n",
+                         flag);
+            return 2;
+        }
+    }
 
-    TimeSeriesSampler sampler(timeseriesIntervalNs);
-    ChaosRunConfig cfg;
-    cfg.seed = seed;
+    ChaosScenario scenario = resolveChaosScenario(flags.chaos);
+    const std::string &timeseriesOut = flags.timeseriesOut;
+    const std::string &eventsOut = flags.eventsOut;
+
+    TimeSeriesSampler sampler(flags.timeseriesIntervalNs);
+    ChaosRunConfig cfg;     // its scope holds the chaos run's registry
+    cfg.seed = flags.chaosSeed;
     if (!timeseriesOut.empty())
         cfg.sampler = &sampler;
     ChaosReport run = runChaosScenario(scenario, cfg);
@@ -213,7 +254,7 @@ runChaosMode(const std::string &spec, std::uint64_t seed,
                 "0x%llx)\n",
                 scenario.name.c_str(), scenario.workload.c_str(),
                 scenario.nodes,
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(cfg.seed));
     std::printf("operations : %llu\n",
                 static_cast<unsigned long long>(run.opsDone));
     std::printf("latency    : mean %.1f us, p99 %.1f us\n",
@@ -262,25 +303,18 @@ runChaosMode(const std::string &spec, std::uint64_t seed,
         std::printf("events     : %s (%zu journal events)\n",
                     eventsOut.c_str(), run.journal.size());
     }
+    if (!flags.metricsJson.empty()) {
+        std::ofstream os(flags.metricsJson);
+        if (!os) {
+            std::fprintf(stderr, "cannot open %s for metrics export\n",
+                         flags.metricsJson.c_str());
+            return 1;
+        }
+        cfg.scope.registry()->writeJson(os);
+        std::printf("metrics    : %s\n", flags.metricsJson.c_str());
+    }
     return match ? 0 : 1;
 }
-
-/** All the --flag= values of one invocation. */
-struct Flags
-{
-    std::string metricsJson;
-    std::string traceOut;
-    std::string prefetch;
-    std::string victim;
-    std::string placement;
-    std::string tiering;
-    std::size_t evictDepth = 1;
-    std::string chaos;
-    std::uint64_t chaosSeed = 0x5eedULL;
-    std::string timeseriesOut;
-    Tick timeseriesIntervalNs = 1'000'000;
-    std::string eventsOut;
-};
 
 /** Strip every --flag= from argv (positional args are parsed by
  *  index, so the flags must come out first). */
@@ -359,13 +393,9 @@ main(int argc, char **argv)
     const std::string &metricsJson = flags.metricsJson;
     const std::string &traceOut = flags.traceOut;
     const std::string &prefetchPolicy = flags.prefetch;
-    std::size_t evictDepth = flags.evictDepth;
-    if (!flags.chaos.empty()) {
-        return runChaosMode(flags.chaos, flags.chaosSeed,
-                            flags.timeseriesOut,
-                            flags.timeseriesIntervalNs,
-                            flags.eventsOut);
-    }
+    std::size_t evictDepth = flags.evictDepth != 0 ? flags.evictDepth : 1;
+    if (!flags.chaos.empty())
+        return runChaosMode(flags);
 
     std::string workloadName = argc > 1 ? argv[1] : "redis-rand";
     std::string runtimeName = argc > 2 ? argv[2] : "kona";

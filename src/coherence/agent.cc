@@ -94,6 +94,11 @@ CoherenceAgent::acquire(Addr vpn, std::uint64_t bit, bool exclusive,
 InvalidateResult
 CoherenceAgent::onInvalidate(Addr vpn, SimClock &clock)
 {
+    // The park rule: this runs on the requester's thread, inside its
+    // section. Wait until this node's own shard is parked (in enter(),
+    // not yet begun, or finished) before touching its rights, caches
+    // or FMem; it stays parked until the requester's section leaves.
+    gate_.awaitParked();
     invalsReceived_.add();
     auto it = pages_.find(vpn);
     if (it == pages_.end())

@@ -76,10 +76,10 @@ class CoherenceAgent : public CoherencePeer
         Addr vpn = pageNumber(lineAddr);
         if (!governs(vpn))
             return;
-        // Gated even on cached-rights hits: a peer's invalidation
-        // mutates pages_ from its own shard thread (the directory
-        // calls onInvalidate inline), so every governed touch of the
-        // rights table is a cross-shard section.
+        // Gated even on cached-rights hits: a rights check must be
+        // ordered in simulated time against the peers' invalidations
+        // of this page, so every governed touch of the rights table
+        // is a section in the canonical order.
         ShardSection section(gate_, GateEvent::Coherence);
         std::uint64_t bit = std::uint64_t(1) << lineInPage(lineAddr);
         auto it = pages_.find(vpn);
@@ -93,7 +93,8 @@ class CoherenceAgent : public CoherencePeer
 
     // --- CoherencePeer -----------------------------------------------
 
-    /** Remote invalidation: snoop CPU caches, flush dirty lines
+    /** Remote invalidation, on the requester's thread: wait for this
+     *  node's shard to park, then snoop CPU caches, flush dirty lines
      *  through the eviction pipeline, drop the page and rights. */
     InvalidateResult onInvalidate(Addr vpn, SimClock &clock) override;
 

@@ -193,8 +193,11 @@ DirectoryService::invalidate(NodeId target, Addr vpn, SimClock &clock)
 
     // The holder snoops its CPU caches and flushes the page's dirty
     // lines through its async eviction pipeline on OUR clock (the
-    // requester pays for the transfer). Its page-drop hook fires
-    // release() reentrantly, editing entries_ — callers re-look-up.
+    // requester pays for the transfer). Under the parallel engine it
+    // first waits for the holder's shard to park (the park rule,
+    // ShardGate::awaitParked), so the holder's thread is never
+    // mid-access meanwhile. Its page-drop hook fires release()
+    // reentrantly, editing entries_ — callers re-look-up.
     InvalidateResult r = it->second.peer->onInvalidate(vpn, clock);
     if (r.linesWrittenBack != 0) {
         forcedWritebacks_.add();

@@ -7,12 +7,9 @@
 
 #include "coherence/litmus.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/rng.h"
 #include "rack/multi_rack.h"
-#include "rack/parallel_driver.h"
 
 namespace kona {
 
@@ -254,159 +251,6 @@ runLitmus(const LitmusScenario &scenario, MultiRack &rack, Addr base,
                 check(got, oracle[loc], "read-back", t,
                       static_cast<int>(loc));
             }
-        }
-    }
-    return out;
-}
-
-namespace {
-
-/** One op of the precomputed global litmus schedule. */
-struct ScheduledOp
-{
-    std::size_t thread = 0;
-    bool store = false;
-    int loc = 0;
-    std::uint64_t value = 0;    ///< round-adjusted store value
-    bool readback = false;      ///< post-round read-back, not a program op
-};
-
-/**
- * Replay runLitmus()'s exact interleaving construction without
- * executing anything: the schedule is a pure function of the seed and
- * the per-thread op counts (picks never depend on loaded values), so
- * it can be computed up front and handed to shard threads.
- */
-std::vector<ScheduledOp>
-buildSchedule(const LitmusScenario &scenario, std::uint64_t seed,
-              int rounds)
-{
-    std::vector<ScheduledOp> schedule;
-    // Zeroing preamble: thread 0 writes 0 to every location.
-    for (std::size_t loc = 0; loc < scenario.locOffsets.size(); ++loc)
-        schedule.push_back({0, true, static_cast<int>(loc), 0, false});
-
-    Rng rng(seed);
-    for (int round = 0; round < rounds; ++round) {
-        std::vector<std::size_t> pc(scenario.threads(), 0);
-        std::size_t remaining = 0;
-        for (const auto &program : scenario.programs)
-            remaining += program.size();
-        while (remaining > 0) {
-            std::size_t pick = rng.below(remaining);
-            std::size_t thread = 0;
-            for (;; ++thread) {
-                std::size_t left =
-                    scenario.programs[thread].size() - pc[thread];
-                if (pick < left)
-                    break;
-                pick -= left;
-            }
-            const LitmusOp &op = scenario.programs[thread][pc[thread]++];
-            --remaining;
-            std::uint64_t v =
-                op.value + 100 * static_cast<std::uint64_t>(round);
-            schedule.push_back(
-                {thread, op.store, op.loc, v, false});
-        }
-        for (std::size_t t = 0; t < scenario.threads(); ++t) {
-            for (std::size_t loc = 0;
-                 loc < scenario.locOffsets.size(); ++loc) {
-                schedule.push_back(
-                    {t, false, static_cast<int>(loc), 0, true});
-            }
-        }
-    }
-    return schedule;
-}
-
-} // namespace
-
-LitmusOutcome
-runLitmusParallel(const LitmusScenario &scenario, MultiRack &rack,
-                  Addr base, std::uint64_t seed, unsigned threads,
-                  int rounds)
-{
-    KONA_ASSERT(scenario.threads() >= 1, "scenario with no threads");
-    KONA_ASSERT(scenario.threads() <= rack.runtimeCount(),
-                "scenario '", scenario.name, "' needs ",
-                scenario.threads(), " compute nodes, rack has ",
-                rack.runtimeCount());
-
-    std::vector<ScheduledOp> schedule =
-        buildSchedule(scenario, seed, rounds);
-
-    // Split the global schedule per shard. Stamps are global indices,
-    // so the gate's canonical order IS the sequential interleaving.
-    struct ShardOp
-    {
-        Tick stamp;
-        const ScheduledOp *op;
-    };
-    std::vector<std::vector<ShardOp>> perShard(rack.runtimeCount());
-    for (std::size_t g = 0; g < schedule.size(); ++g)
-        perShard[schedule[g].thread].push_back(
-            {static_cast<Tick>(g), &schedule[g]});
-
-    // Loads deposit into their own schedule slot; the main thread
-    // checks against the oracle after the join, in schedule order.
-    std::vector<std::uint64_t> observed(schedule.size(), 0);
-
-    ParallelDriver driver(rack, threads);
-    for (std::size_t i = 0; i < rack.runtimeCount(); ++i) {
-        driver.gate().setScripted(
-            static_cast<std::uint32_t>(i),
-            perShard[i].empty() ? shardDoneStamp
-                                : perShard[i].front().stamp);
-    }
-    driver.run([&](std::size_t shard, KonaRuntime &rt) {
-        const std::vector<ShardOp> &ops = perShard[shard];
-        ShardGate &gate = driver.gate();
-        auto id = static_cast<std::uint32_t>(shard);
-        for (std::size_t k = 0; k < ops.size(); ++k) {
-            const ScheduledOp &op = *ops[k].op;
-            Addr addr =
-                base +
-                scenario.locOffsets[static_cast<std::size_t>(op.loc)];
-            gate.enter(id, ops[k].stamp, GateEvent::Scripted);
-            if (op.store) {
-                rt.write(addr, &op.value, sizeof op.value);
-            } else {
-                std::uint64_t got = 0;
-                rt.read(addr, &got, sizeof got);
-                observed[static_cast<std::size_t>(ops[k].stamp)] = got;
-            }
-            gate.leave(id, k + 1 < ops.size() ? ops[k + 1].stamp
-                                              : shardDoneStamp);
-        }
-    });
-
-    // Differential check against the SC oracle, in schedule order —
-    // the same visitation order runLitmus() uses, so valueHash and
-    // the first divergence string agree bit for bit.
-    LitmusOutcome out;
-    std::vector<std::uint64_t> oracle(scenario.locOffsets.size(), 0);
-    for (std::size_t g = 0; g < schedule.size(); ++g) {
-        const ScheduledOp &op = schedule[g];
-        if (op.store) {
-            oracle[static_cast<std::size_t>(op.loc)] = op.value;
-            continue;
-        }
-        std::uint64_t got = observed[g];
-        std::uint64_t want = oracle[static_cast<std::size_t>(op.loc)];
-        ++out.loadsChecked;
-        for (int i = 0; i < 8; ++i) {
-            out.valueHash ^= (got >> (8 * i)) & 0xff;
-            out.valueHash *= 1099511628211ULL;
-        }
-        if (got != want && out.match) {
-            out.match = false;
-            out.divergence =
-                scenario.name + ": " +
-                (op.readback ? "read-back" : "load") + " by t" +
-                std::to_string(op.thread) + " of loc" +
-                std::to_string(op.loc) + " saw " + std::to_string(got) +
-                ", oracle has " + std::to_string(want);
         }
     }
     return out;

@@ -87,22 +87,6 @@ const std::vector<LitmusScenario> &litmusScenarios();
 LitmusOutcome runLitmus(const LitmusScenario &scenario, MultiRack &rack,
                         Addr base, std::uint64_t seed, int rounds = 4);
 
-/**
- * Parallel-engine variant of runLitmus(): the seeded interleaving is
- * precomputed (it is a pure function of the seed and the remaining-op
- * counts, independent of any value loaded), each litmus thread runs on
- * its runtime's own OS thread, and every op is replayed inside a
- * scripted ShardGate section stamped with its global schedule index —
- * so the gate executes ops in exactly the sequential interleaving and
- * the outcome (divergence, loadsChecked, valueHash) is bit-identical
- * to runLitmus() on the same rack state. @p threads caps how many
- * shards execute concurrently (1 = the sequential reference schedule).
- */
-LitmusOutcome runLitmusParallel(const LitmusScenario &scenario,
-                                MultiRack &rack, Addr base,
-                                std::uint64_t seed, unsigned threads,
-                                int rounds = 4);
-
 } // namespace kona
 
 #endif // KONA_COHERENCE_LITMUS_H

@@ -47,21 +47,17 @@ GateEndpoint::stamp() const
 }
 
 void
-ShardGate::setScripted(std::uint32_t shard, Tick firstStamp)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    Shard &s = shards_.at(shard);
-    s.scripted = true;
-    s.nextStamp = firstStamp;
-    cv_.notify_all();
-}
-
-void
 ShardGate::beginShard(std::uint32_t shard)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    KONA_ASSERT(!shards_.at(shard).finished, "shard restarted");
+    Shard &s = shards_.at(shard);
+    KONA_ASSERT(!s.begun && !s.finished, "shard restarted");
     acquireTokenLocked(lock);
+    // Not yet begun is parked: an executing section may be touching
+    // this shard's private state, so begin only once it has left.
+    while (depth_ > 0)
+        cv_.wait(lock);
+    s.begun = true;
 }
 
 void
@@ -83,13 +79,8 @@ ShardGate::lowerBoundLocked(const Shard &s, std::size_t i) const
         return {shardDoneStamp, static_cast<std::uint32_t>(i), 0};
     if (s.waiting || s.executing)
         return s.key;
-    Tick bound;
-    if (s.scripted) {
-        bound = s.nextStamp;
-    } else {
-        bound = std::max(s.clock.last(),
-                         bounds_[i].load(std::memory_order_acquire));
-    }
+    Tick bound = std::max(s.clock.last(),
+                          bounds_[i].load(std::memory_order_acquire));
     return {bound, static_cast<std::uint32_t>(i),
             s.clock.seqWatermark()};
 }
@@ -136,15 +127,12 @@ ShardGate::enter(std::uint32_t shard, Tick stamp, GateEvent kind)
         return;
     }
     Shard &s = shards_.at(shard);
-    if (s.scripted) {
-        KONA_ASSERT(stamp >= s.nextStamp,
-                    "scripted section stamp ", stamp,
-                    " below the promised bound ", s.nextStamp);
-    }
     s.key = {s.clock.clamp(stamp), shard, s.clock.nextSeq()};
     s.kind = kind;
     s.waiting = true;
     waiters_.fetch_add(1, std::memory_order_acq_rel);
+    if (parkWaiters_ > 0)
+        cv_.notify_all();   // this shard just parked
     // Free the run token so a blocked shard never starves the shard
     // whose event is globally next.
     releaseTokenLocked();
@@ -165,7 +153,7 @@ ShardGate::enter(std::uint32_t shard, Tick stamp, GateEvent kind)
 }
 
 void
-ShardGate::leave(std::uint32_t shard, Tick nextStamp)
+ShardGate::leave(std::uint32_t shard)
 {
     std::lock_guard<std::mutex> lock(mu_);
     KONA_ASSERT(depth_ > 0, "leave() outside a section");
@@ -183,16 +171,27 @@ ShardGate::leave(std::uint32_t shard, Tick nextStamp)
     grantHash_ = fnvMix(grantHash_, s.key.shard);
     grantHash_ = fnvMix(grantHash_, s.key.seq);
     grantHash_ = fnvMix(grantHash_, static_cast<std::uint64_t>(s.kind));
-    if (s.scripted) {
-        s.nextStamp = std::max(nextStamp, s.key.stamp);
-    } else {
-        // The section's stamp is a sound bound on the shard's future
-        // events; fresher clock-driven bounds follow via publish().
-        std::atomic<Tick> &bound = bounds_[ownerShard_];
-        if (s.clock.last() > bound.load(std::memory_order_relaxed))
-            bound.store(s.clock.last(), std::memory_order_release);
-    }
+    // The section's stamp is a sound bound on the shard's future
+    // events; fresher clock-driven bounds follow via publish().
+    std::atomic<Tick> &bound = bounds_[ownerShard_];
+    if (s.clock.last() > bound.load(std::memory_order_relaxed))
+        bound.store(s.clock.last(), std::memory_order_release);
     cv_.notify_all();
+}
+
+void
+ShardGate::awaitParked(std::uint32_t shard)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    KONA_ASSERT(depth_ > 0 && ownerThread_ == std::this_thread::get_id(),
+                "awaitParked() outside the executing section");
+    KONA_ASSERT(shard != ownerShard_,
+                "awaitParked() on the executing shard ", shard);
+    const Shard &s = shards_.at(shard);
+    ++parkWaiters_;
+    while (s.begun && !s.waiting && !s.finished)
+        cv_.wait(lock);
+    --parkWaiters_;
 }
 
 std::uint64_t

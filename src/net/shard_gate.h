@@ -19,25 +19,32 @@
  * only when every other shard's published lower bound exceeds K. A
  * shard's lower bound is its own key while it waits or executes, +inf
  * once finished, and otherwise the monotone stamp bound it publishes
- * as its clocks advance (clock mode) or the promised stamp of its next
- * scripted section (scripted mode, used by the litmus replayer). Bound
- * publications are lock-free stores; wakeups are throttled to the
- * lookahead horizon derived from the minimum fabric wire latency —
- * finer-grained bounds could not unblock a waiter any earlier than one
- * wire traversal anyway.
+ * as its clocks advance. Bound publications are lock-free stores;
+ * wakeups are throttled to the lookahead horizon derived from the
+ * minimum fabric wire latency — finer-grained bounds could not
+ * unblock a waiter any earlier than one wire traversal anyway.
+ *
+ * The park rule: an executing section that must touch ANOTHER shard's
+ * private state (a directory invalidation snooping the victim's caches
+ * and flushing its FMem page) first waits in awaitParked() until that
+ * shard is parked — waiting in enter(), not yet begun, or finished —
+ * so the victim's own thread is never mid-access meanwhile. The victim
+ * parks at its first section keyed above the executing one, which is
+ * exactly where the t=1 schedule already holds it.
  *
  * Sections are re-entrant per THREAD, not per shard: the grant rule
  * admits at most one executing section at a time, so any section the
  * section-holding thread opens — a governed miss nesting a fetch, or a
- * cross-shard call like a directory invalidation flushing the PEER's
- * dirty line through the peer's eviction handler — is a depth bump on
- * the executing section, serialized under its key. A nested enter from
- * the owning thread must never wait (it would deadlock against
- * itself). Worker concurrency is throttled by a run-token semaphore —
- * `--threads=N` admits N shards at a time over any number of shards,
- * and N=1 is the sequential reference schedule the bit-identity tests
- * compare against. Nothing in enter/leave/publish allocates, keeping
- * the PR 5 zero-steady-state-allocation property intact.
+ * cross-shard call like a directory invalidation flushing the parked
+ * PEER's dirty line through the peer's eviction handler — is a depth
+ * bump on the executing section, serialized under its key. A nested
+ * enter from the owning thread must never wait (it would deadlock
+ * against itself). Worker concurrency is throttled by a run-token
+ * semaphore — `--threads=N` admits N shards at a time over any number
+ * of shards, and N=1 is the sequential reference schedule the
+ * bit-identity tests compare against. Nothing in enter/leave/publish
+ * allocates, keeping the zero-steady-state-allocation property
+ * intact.
  */
 
 #ifndef KONA_NET_SHARD_GATE_H
@@ -64,7 +71,6 @@ enum class GateEvent : std::uint8_t
     Evict,      ///< eviction submit/drain/drainNode/flushPage
     Coherence,  ///< directory acquire/release/invalidate
     Control,    ///< slab allocation, health sweep, recovery
-    Scripted,   ///< externally scheduled op (litmus replay)
 };
 
 /** Epoch/barrier synchronizer over a fixed set of shards. */
@@ -84,22 +90,15 @@ class ShardGate
     unsigned concurrency() const { return concurrency_; }
     Tick horizon() const { return horizon_; }
 
-    /**
-     * Put @p shard in scripted mode: its sections carry externally
-     * assigned stamps and each leave() promises the next section's
-     * stamp, replacing clock-driven bound publication. @p firstStamp
-     * is the stamp of its first section (shardDoneStamp when none).
-     */
-    void setScripted(std::uint32_t shard, Tick firstStamp);
-
-    /** Shard thread lifecycle: acquire a run token before simulating. */
+    /** Shard thread lifecycle: acquire a run token before simulating
+     *  (and, parked until then, wait out any executing section). */
     void beginShard(std::uint32_t shard);
 
     /** Shard finished: bound becomes +inf, token is released. */
     void endShard(std::uint32_t shard);
 
     /**
-     * Publish @p shard's monotone stamp lower bound (clock mode). Call
+     * Publish @p shard's monotone stamp lower bound. Call
      * once per application access with max(app, background) time; the
      * store is lock-free and wakeups are horizon-throttled.
      */
@@ -129,12 +128,17 @@ class ShardGate
      */
     void enter(std::uint32_t shard, Tick stamp, GateEvent kind);
 
+    /** Close the current section. */
+    void leave(std::uint32_t shard);
+
     /**
-     * Close the current section. Scripted shards must pass the stamp
-     * of their next section via @p nextStamp (shardDoneStamp when no
-     * more follow); clock shards ignore it.
+     * The park rule: block until @p shard — not the executing
+     * section's own — is parked (waiting in enter(), not yet begun,
+     * or finished). Called from inside the executing section before it
+     * touches @p shard's private state; the shard stays parked until
+     * the section leaves, since its next key lies above it.
      */
-    void leave(std::uint32_t shard, Tick nextStamp = 0);
+    void awaitParked(std::uint32_t shard);
 
     /** Sections executed (outermost enters granted). */
     std::uint64_t eventsExecuted() const
@@ -153,13 +157,12 @@ class ShardGate
   private:
     struct Shard
     {
-        bool scripted = false;
+        bool begun = false;
         bool finished = false;
         bool waiting = false;
         bool executing = false;
         EventKey key;
         GateEvent kind = GateEvent::Fetch;
-        Tick nextStamp = 0;       ///< scripted: promised next stamp
         ShardClock clock;
     };
 
@@ -177,12 +180,13 @@ class ShardGate
     std::condition_variable tokenCv_;  ///< run-token availability
 
     std::vector<Shard> shards_;
-    /** Clock-mode published bounds (single writer: the shard). */
+    /** Published bounds (single writer: the shard). */
     std::unique_ptr<std::atomic<Tick>[]> bounds_;
     /** Last bound that triggered a wakeup (own-thread only). */
     std::vector<Tick> lastNotify_;
 
     std::atomic<int> waiters_{0};
+    int parkWaiters_ = 0;              ///< in awaitParked(), under mu_
     std::atomic<std::uint64_t> events_{0};
     std::uint64_t grantHash_ = 14695981039346656037ULL; ///< under mu_
     unsigned concurrency_;
@@ -225,6 +229,14 @@ class GateEndpoint
     std::uint32_t shard() const { return shard_; }
 
     Tick stamp() const;
+
+    /** The park rule for this endpoint's shard; no-op unbound. */
+    void
+    awaitParked() const
+    {
+        if (gate_ != nullptr)
+            gate_->awaitParked(shard_);
+    }
 
     /** Publish the shard's current bound (call between sections). */
     void

@@ -10,9 +10,10 @@
  * the gate's hash of every granted cross-shard section, and the rack
  * journal must all match exactly. The matrix covers five seeds, four
  * thread counts, and six workload shapes: sequential, strided,
- * uniform-random, eviction-heavy pointer chase, the coherence litmus
- * suite replayed through scripted gate sections, and a random mix
- * under a deterministic partial partition with replication failover.
+ * uniform-random, eviction-heavy pointer chase, a random mix under a
+ * deterministic partial partition with replication failover, and
+ * owner writes to a coherence-shared region next to private traffic,
+ * where every invalidation lands on another shard's thread.
  * The rack-journal tests pin who stamps an event: the runtime whose
  * operation caused it, on its own app clock.
  */
@@ -22,7 +23,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "coherence/litmus.h"
+#include "coherence/agent.h"
 #include "common/rng.h"
 #include "rack/multi_rack.h"
 #include "rack/parallel_driver.h"
@@ -65,11 +66,14 @@ struct Signature
     std::uint64_t fingerprint = 0; ///< MetricRegistry::fingerprint()
     std::uint64_t content = 0;     ///< bytes of every span, in order
     std::uint64_t events = 0;      ///< grant hash + rack journal
+    std::uint64_t staleReads = 0;  ///< coherence: versions gone back
+    std::uint64_t invalidations = 0;    ///< coherence: received
+    std::uint64_t forcedWritebacks = 0; ///< coherence: dirty on inval
 
     bool operator==(const Signature &) const = default;
 };
 
-enum class Mix { Seq, Stride, Random, Graph, Chaos };
+enum class Mix { Seq, Stride, Random, Graph, Chaos, Coherence };
 
 const char *
 mixName(Mix mix)
@@ -80,6 +84,7 @@ mixName(Mix mix)
     case Mix::Random: return "random";
     case Mix::Graph: return "graph";
     case Mix::Chaos: return "chaos";
+    case Mix::Coherence: return "coherence";
     }
     return "?";
 }
@@ -109,12 +114,21 @@ partitionNode2(MultiRack &rack)
         MultiRack::firstComputeNode);
 }
 
+/** The coherence mix's shared region and the share of ops it gets. */
+constexpr std::size_t kSharedPages = 16;
+constexpr std::size_t kWordsPerPage = 8;  ///< one word per first 8 lines
+constexpr double kSharedShare = 0.01;
+
 /**
  * One full run of @p mix at @p threads: fresh rack, one private span
  * per compute node, the mix's access program on every shard, then the
  * signature. Seeds only vary written values for the deterministic
  * shapes (seq/stride) and drive the access stream for the random ones,
- * so every seed yields a distinct but reproducible run.
+ * so every seed yields a distinct but reproducible run. The coherence
+ * mix is the random mix plus owner writes: 1% of each shard's ops go
+ * to a shared region, where shard 0 writes ever-growing versions and
+ * the other shards read them and count any word whose version went
+ * back (a coherence-of-reads violation).
  */
 Signature
 runMix(Mix mix, std::uint64_t seed, unsigned threads)
@@ -124,11 +138,18 @@ runMix(Mix mix, std::uint64_t seed, unsigned threads)
         partitionNode2(rack);
 
     const std::size_t span = mix == Mix::Graph ? 12 * MiB : 1 * MiB;
-    const std::uint64_t ops = mix == Mix::Graph ? 1'200 : 3'000;
+    const std::uint64_t ops = mix == Mix::Graph       ? 1'200
+                              : mix == Mix::Coherence ? 20'000
+                                                      : 3'000;
 
     std::vector<Addr> bases;
     for (std::size_t i = 0; i < rack.runtimeCount(); ++i)
         bases.push_back(rack.runtime(i).allocate(span, pageSize));
+    const std::size_t sharedBytes = kSharedPages * pageSize;
+    const Addr shared = mix == Mix::Coherence
+                            ? rack.mapShared("versions", sharedBytes)
+                            : 0;
+    std::vector<std::uint64_t> staleReads(rack.runtimeCount(), 0);
 
     // The graph mix chases one permutation cycle (> FMem, so the
     // demand-fetch + eviction machinery runs the whole time). Built
@@ -169,7 +190,26 @@ runMix(Mix mix, std::uint64_t seed, unsigned threads)
                 rt.read(base + off, page.data(), pageSize);
             Rng rng(seed + shard);
             std::size_t off = 0;
+            std::uint64_t version = 0;
+            std::vector<std::uint64_t> seen(kSharedPages * kWordsPerPage,
+                                            0);
             for (std::uint64_t i = 0; i < ops; ++i) {
+                if (mix == Mix::Coherence && rng.chance(kSharedShare)) {
+                    std::size_t word = rng.below(seen.size());
+                    Addr addr = shared +
+                                (word / kWordsPerPage) * pageSize +
+                                (word % kWordsPerPage) * cacheLineSize;
+                    if (shard == 0) {
+                        buf = ++version;
+                        rt.write(addr, &buf, sizeof(buf));
+                    } else {
+                        rt.read(addr, &buf, sizeof(buf));
+                        if (buf < seen[word])
+                            ++staleReads[shard];
+                        seen[word] = std::max(seen[word], buf);
+                    }
+                    continue;
+                }
                 Addr addr;
                 bool write;
                 switch (mix) {
@@ -185,7 +225,7 @@ runMix(Mix mix, std::uint64_t seed, unsigned threads)
                         off = (off + cacheLineSize) % 1024;
                     write = (i & 3) == 1;
                     break;
-                default: // Random, Chaos
+                default: // Random, Chaos, Coherence
                     addr = base + rng.below(span / 8) * 8;
                     write = rng.chance(0.3);
                     break;
@@ -202,6 +242,14 @@ runMix(Mix mix, std::uint64_t seed, unsigned threads)
         sig.fingerprint = rack.metrics()->fingerprint();
         h = fnvMix(h, driver.gate().grantHash());
     } // detach the gate before the main-thread readback below
+
+    for (std::size_t i = 0; i < rack.runtimeCount(); ++i) {
+        sig.staleReads += staleReads[i];
+        if (const CoherenceAgent *agent = rack.runtime(i).coherenceAgent()) {
+            sig.invalidations += agent->invalidationsReceived();
+            sig.forcedWritebacks += agent->forcedWritebacks();
+        }
+    }
 
     for (const JournalEvent &ev : rack.controller().journal().snapshot()) {
         h = fnvMix(h, ev.ts);
@@ -224,6 +272,14 @@ runMix(Mix mix, std::uint64_t seed, unsigned threads)
             }
         }
     }
+    if (mix == Mix::Coherence) {
+        std::vector<std::uint8_t> region(sharedBytes);
+        rack.runtime(0).read(shared, region.data(), sharedBytes);
+        for (std::uint8_t b : region) {
+            c ^= b;
+            c *= 1099511628211ULL;
+        }
+    }
     sig.content = c;
     return sig;
 }
@@ -236,6 +292,14 @@ TEST_P(ParallelIdentity, BitIdenticalAcrossThreadCounts)
     Mix mix = GetParam();
     for (std::uint64_t seed : kSeeds) {
         Signature reference = runMix(mix, seed, 1);
+        EXPECT_EQ(reference.staleReads, 0u)
+            << mixName(mix) << " seed " << seed
+            << ": a reader saw a version go back";
+        if (mix == Mix::Coherence) {
+            // The mix must exercise the cross-shard invalidation path.
+            EXPECT_GT(reference.invalidations, 0u) << "seed " << seed;
+            EXPECT_GT(reference.forcedWritebacks, 0u) << "seed " << seed;
+        }
         for (unsigned threads : kThreadCounts) {
             if (threads == 1)
                 continue;
@@ -249,6 +313,9 @@ TEST_P(ParallelIdentity, BitIdenticalAcrossThreadCounts)
             EXPECT_EQ(sig.events, reference.events)
                 << mixName(mix) << " seed " << seed << " t=" << threads
                 << ": event sequences diverge";
+            EXPECT_EQ(sig.staleReads, 0u)
+                << mixName(mix) << " seed " << seed << " t=" << threads
+                << ": a reader saw a version go back";
             if (sig != reference)
                 return; // one mix's full diagnosis is enough
         }
@@ -258,48 +325,10 @@ TEST_P(ParallelIdentity, BitIdenticalAcrossThreadCounts)
 INSTANTIATE_TEST_SUITE_P(Mixes, ParallelIdentity,
                          ::testing::Values(Mix::Seq, Mix::Stride,
                                            Mix::Random, Mix::Graph,
-                                           Mix::Chaos),
+                                           Mix::Chaos, Mix::Coherence),
                          [](const auto &info) {
                              return mixName(info.param);
                          });
-
-/**
- * The litmus suite replayed through scripted gate sections must
- * reproduce runLitmus()'s outcome exactly — same loads checked, same
- * order-sensitive value hash — at every thread count.
- */
-TEST(ParallelIdentityLitmus, ScriptedReplayMatchesSequential)
-{
-    const auto &scenarios = litmusScenarios();
-    for (std::uint64_t seed : kSeeds) {
-        const LitmusScenario &scenario =
-            scenarios[seed % scenarios.size()];
-
-        LitmusOutcome reference;
-        {
-            MultiRack rack(smallRack(4));
-            Addr base = rack.mapShared("litmus", 64 * KiB);
-            reference = runLitmus(scenario, rack, base, seed, 2);
-        }
-        ASSERT_TRUE(reference.match)
-            << scenario.name << ": " << reference.divergence;
-
-        for (unsigned threads : kThreadCounts) {
-            MultiRack rack(smallRack(4));
-            Addr base = rack.mapShared("litmus", 64 * KiB);
-            LitmusOutcome out =
-                runLitmusParallel(scenario, rack, base, seed, threads, 2);
-            EXPECT_TRUE(out.match)
-                << scenario.name << " t=" << threads << ": "
-                << out.divergence;
-            EXPECT_EQ(out.loadsChecked, reference.loadsChecked)
-                << scenario.name << " t=" << threads;
-            EXPECT_EQ(out.valueHash, reference.valueHash)
-                << scenario.name << " t=" << threads
-                << ": observed-value stream diverges";
-        }
-    }
-}
 
 /**
  * Gate transparency: a single-compute-node program run under the
